@@ -16,8 +16,11 @@ traceless x sends a form P in (X, Y) to
 
 so [[0,1],[0,0]] acts as X d/dY and [[0,0],[1,0]] as Y d/dX.
 
-Stabilizers are computed infinitesimally, as kernels of exact linear systems;
-finite stabilizer components are checked by explicit candidate elements.
+Stabilizers are computed infinitesimally, as ranks of exact integer systems
+built on coefficient vectors (index k holds X^(d-k) Y^k; a biform's index is
+k1*(b+1) + k2, one map per factor): X d/dY sends k to k-1 with weight k,
+Y d/dX sends k to k+1 with weight d-k, and H is the diagonal d-2k.  Finite
+stabilizer components are checked by explicit candidate elements.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forms import BiForm, BinaryForm, TernaryForm, binary_basis
-from .linalg import QMat, Subspace, det, kernel_basis
+from .linalg import QMat, Subspace, _bareiss, _integer_row, det
 from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
 
 
@@ -187,8 +190,13 @@ def matrix_of_binary_action(g, b: int) -> QMat:
     return QMat.from_columns(columns)
 
 
-_LIE_BASIS = (SL2_E, SL2_F, SL2_H)
-_ZERO2 = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+def _sl2_images(vec, d, step):
+    """(X d/dY, Y d/dX, H) images of an integer coefficient vector whose acted-on
+    factor has degree d and Y-exponent k = i // step % (d + 1) at index i."""
+    ks = [i // step % (d + 1) for i in range(len(vec))]
+    e = [(k + 1) * vec[i + step] if k < d else 0 for i, k in enumerate(ks)]
+    f = [(d - k + 1) * vec[i - step] if k else 0 for i, k in enumerate(ks)]
+    return e, f, [(d - 2 * k) * c for k, c in zip(ks, vec)]
 
 
 def projective_stabilizer_dim(f: BiForm) -> int:
@@ -198,13 +206,10 @@ def projective_stabilizer_dim(f: BiForm) -> int:
     """
     if f.is_zero():
         raise ValueError("zero form")
-    columns = []
-    for x in _LIE_BASIS:
-        columns.append(lie_act(LiePair(x, _ZERO2), f).coeff_vector())
-    for x in _LIE_BASIS:
-        columns.append(lie_act(LiePair(_ZERO2, x), f).coeff_vector())
-    columns.append(tuple(-c for c in f.coeff_vector()))
-    return kernel_basis(QMat.from_columns(columns)).dim
+    a, b = f.bidegree
+    vec, _ = _integer_row(f.coeff_vector())
+    rows = [*_sl2_images(vec, a, b + 1), *_sl2_images(vec, b, 1), [-c for c in vec]]
+    return 7 - len(_bareiss(rows)[0])
 
 
 def subspace_stabilizer_dim(w: Subspace) -> int:
@@ -212,14 +217,18 @@ def subspace_stabilizer_dim(w: Subspace) -> int:
     b = w.ambient_dim - 1
     if w.dim == 0 or w.dim == w.ambient_dim:
         raise ValueError("subspace must be proper and nonzero")
-    rows = []
-    for vec in w.basis.entries:
-        form = BinaryForm.from_coeff_vector(b, vec)
-        residuals = [w.residual(lie_act_binary(x, form).coeff_vector())
-                     for x in _LIE_BASIS]
-        for k in range(b + 1):
-            rows.append([residuals[0][k], residuals[1][k], residuals[2][k]])
-    return kernel_basis(QMat(rows)).dim
+    # x.W <= W iff x.w_i is killed by each annihilator n_f of the RREF basis
+    # scaled by L (f a free column): n_f[f] = L, n_f[p_i] = -L*W[i][f].
+    flat, big = _integer_row([x for row in w.basis.entries for x in row])
+    basis = [flat[i:i + b + 1] for i in range(0, len(flat), b + 1)]
+    pivots = w.pivots()
+    free = [j for j in range(b + 1) if j not in pivots]
+    rows = [[], [], []]
+    for vec in basis:
+        for row, image in zip(rows, _sl2_images(vec, b, 1)):
+            row.extend(big * image[j] - sum(basis[i][j] * image[p] for i, p in enumerate(pivots))
+                       for j in free)
+    return 3 - len(_bareiss(rows)[0])
 
 
 def det_scalar(g: GroupPair, w: Subspace) -> Fraction:

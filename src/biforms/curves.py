@@ -11,6 +11,9 @@ Resultants are taken on full bihomogeneous Sylvester matrices, so roots at
 infinity need no special-casing.  Polynomial-coefficient resultants (branch
 forms) are computed by exact interpolation: the Sylvester determinant is
 homogeneous of known degree, so it is pinned down by integer evaluations.
+The branch route builds no polynomials: the second-pair partials, times the
+lcm s of F's denominators, are integer arrays evaluated by Horner, and each
+Sylvester determinant is an integer Bareiss pass divided by s^(2(b-1)).
 
 singular_system computes linear systems of plane curves singular at
 prescribed exact points.
@@ -22,7 +25,7 @@ from fractions import Fraction
 from random import Random
 
 from .forms import BiForm, BinaryForm, binary_basis, ternary_basis
-from .linalg import QMat, Subspace, column_space, det, kernel_basis, rank
+from .linalg import QMat, Subspace, _int_det, _integer_row, column_space, det, kernel_basis, rank
 from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
 
 
@@ -196,6 +199,13 @@ def is_squarefree(f: BinaryForm) -> bool:
 # resultants and branch forms
 # ---------------------------------------------------------------------------
 
+def _sylvester_rows(pc, qc):
+    """Sylvester matrix of two descending coefficient lists (degrees d, e >= 1)."""
+    d, e = len(pc) - 1, len(qc) - 1
+    return ([[0] * i + pc + [0] * (e - 1 - i) for i in range(e)]
+            + [[0] * i + qc + [0] * (d - 1 - i) for i in range(d)])
+
+
 def sylvester_resultant(p: BinaryForm, q: BinaryForm) -> Fraction:
     """Sylvester resultant of two binary forms of degrees d, e >= 1.
 
@@ -208,27 +218,7 @@ def sylvester_resultant(p: BinaryForm, q: BinaryForm) -> Fraction:
     # descending coefficient lists: p = sum p_i X^(d-i) Y^i
     pc = [p.poly.coefficient((d - i, i)) for i in range(d + 1)]
     qc = [q.poly.coefficient((e - i, i)) for i in range(e + 1)]
-    n = d + e
-    rows = []
-    for i in range(e):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (e - 1 - i))
-    for i in range(d):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (d - 1 - i))
-    assert all(len(r) == n for r in rows)
-    return det(QMat(rows))
-
-
-def _second_pair_coeffs_desc(f: BiForm):
-    """(X1,Y1)-coefficient forms of f, ordered by descending X2 power."""
-    a, b = f.bidegree
-    out = []
-    for k in range(b + 1):
-        terms = {}
-        for (e1, f1, e2, f2), c in f.poly.terms.items():
-            if e2 == b - k:
-                terms[(e1, f1)] = c
-        out.append(MPoly(RING_XY, terms))
-    return out
+    return det(QMat(_sylvester_rows(pc, qc)))
 
 
 def _interpolate(points):
@@ -268,35 +258,40 @@ def branch_form(f: BiForm) -> BinaryForm:
     if a < 1 or b < 1:
         raise ValueError("bidegree components must be >= 1")
     target = 2 * a * (b - 1)
-    p = BiForm((a, b - 1), f.poly.diff("X2"))
-    q = BiForm((a, b - 1), f.poly.diff("Y2"))
-    if p.is_zero() or q.is_zero():
-        return BinaryForm.zero(target)
     n = b - 1
+    vec, s = _integer_row(f.coeff_vector())
+    # col[k]: the (X1,Y1)-form at X2^(b-k) Y2^k, X1-power descending; u[k] and
+    # v[k] are the forms at X2^(n-k) Y2^k in s*dF/dX2 and s*dF/dY2
+    col = [vec[k::b + 1] for k in range(b + 1)]
+    u = [[(b - k) * c for c in col[k]] for k in range(b)]
+    v = [[(k + 1) * c for c in col[k + 1]] for k in range(b)]
+    if not any(map(any, u)) or not any(map(any, v)):
+        return BinaryForm.zero(target)
     if n == 0:
         return BinaryForm(0, MPoly.constant(RING_XY, 1))
-    u = _second_pair_coeffs_desc(p)
-    v = _second_pair_coeffs_desc(q)
     # Sylvester determinant has entries homogeneous of degree a, size 2n,
     # so it is homogeneous of degree 2an = target (or identically zero);
     # interpolate its dehomogenization from target+1 integer evaluations.
+    scale = s ** (2 * n)
     samples = []
     for t in range(target + 1):
-        point = (Fraction(t), Fraction(1))
-        uc = [w.evaluate(point) for w in u]
-        vc = [w.evaluate(point) for w in v]
-        rows = []
-        for i in range(n):
-            rows.append([Fraction(0)] * i + uc + [Fraction(0)] * (n - 1 - i))
-        for i in range(n):
-            rows.append([Fraction(0)] * i + vc + [Fraction(0)] * (n - 1 - i))
-        samples.append((t, det(QMat(rows))))
+        uc = [_horner(w, t) for w in u]
+        vc = [_horner(w, t) for w in v]
+        samples.append((t, Fraction(_int_det(_sylvester_rows(uc, vc)), scale)))
     coeffs = _interpolate(samples)
     terms = {}
     for i, c in enumerate(coeffs):
         if c:
             terms[(i, target - i)] = c
     return BinaryForm(target, MPoly(RING_XY, terms))
+
+
+def _horner(coeffs, t):
+    """Value at t of a polynomial given by coefficients, highest power first."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
 
 
 def hyperplane_degree(cm: CurveMap, seed) -> int | None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 
 class QMat:
@@ -84,48 +84,65 @@ class QMat:
         return f"QMat({[list(map(str, r)) for r in self.entries]})"
 
 
-def _integer_rows(m: QMat):
-    """Scale each row to integers; returns (int rows, per-row scales)."""
-    rows, scales = [], []
-    for row in m.entries:
-        s = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * s) for x in row])
-        scales.append(s)
-    return rows, scales
+def _integer_row(row):
+    """(integer row, scale): a row of Fractions times the lcm of its denominators."""
+    s = lcm(*(x.denominator for x in row))
+    return [x.numerator * (s // x.denominator) for x in row], s
 
 
-def rref(m: QMat):
-    """Reduced row-echelon form: returns (QMat, rank, pivot_columns).
+def _bareiss(work):
+    """Fraction-free forward elimination of integer rows, in place.
 
-    Forward pass is fraction-free (Bareiss one-step updates with exact
-    integer division by the previous pivot); back-substitution is exact
-    over Q.
+    One-step Bareiss updates with exact integer division by the previous
+    pivot, skipping columns without a pivot.  Returns (pivot columns, sign
+    of the row permutation); the first len(pivots) rows are the echelon rows.
     """
-    work, _ = _integer_rows(m)
-    rows, cols = m.rows, m.cols
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
     pivots = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        p = next((i for i in range(r, rows) if work[i][c] != 0), None)
+        p = next((i for i in range(r, rows) if work[i][c]), None)
         if p is None:
             continue
-        work[r], work[p] = work[p], work[r]
-        pivot = work[r][c]
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            sign = -sign
+        wr = work[r]
+        pivot = wr[c]
         for i in range(r + 1, rows):
-            wic = work[i][c]
-            wi, wr = work[i], work[r]
+            wi = work[i]
+            wic = wi[c]
             for j in range(c, cols):
-                num = pivot * wi[j] - wic * wr[j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss exact-division invariant broken"
+                q, rem = divmod(pivot * wi[j] - wic * wr[j], prev)
+                if rem:
+                    raise ArithmeticError("Bareiss exact-division invariant broken")
                 wi[j] = q
         prev = pivot
         pivots.append(c)
         r += 1
-    rank = r
+    return pivots, sign
+
+
+def _int_det(work):
+    """Determinant of a square matrix given as integer rows (consumed)."""
+    pivots, sign = _bareiss(work)
+    return sign * work[-1][-1] if len(pivots) == len(work) else 0
+
+
+def rref(m: QMat):
+    """Reduced row-echelon form: returns (QMat, rank, pivot_columns).
+
+    Forward pass is the fraction-free Bareiss pass; back-substitution is
+    exact over Q.
+    """
+    work = [_integer_row(row)[0] for row in m.entries]
+    pivots, _ = _bareiss(work)
+    rank, cols = len(pivots), m.cols
     # exact back-substitution over Q
     echelon = [[Fraction(x) for x in work[i]] for i in range(rank)]
     for i in range(rank - 1, -1, -1):
@@ -136,12 +153,12 @@ def rref(m: QMat):
             factor = echelon[k][piv]
             if factor:
                 echelon[k] = [a - factor * b for a, b in zip(echelon[k], echelon[i])]
-    full = echelon + [[Fraction(0)] * cols for _ in range(rows - rank)]
+    full = echelon + [[Fraction(0)] * cols for _ in range(m.rows - rank)]
     return QMat(full), rank, tuple(pivots)
 
 
 def rank(m: QMat) -> int:
-    return rref(m)[1]
+    return len(_bareiss([_integer_row(row)[0] for row in m.entries])[0])
 
 
 class Subspace:
@@ -242,33 +259,10 @@ def det(m: QMat) -> Fraction:
     """Exact determinant (fraction-free Bareiss on integerized rows)."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return Fraction(1)
-    work, scales = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            work[c], work[p] = work[p], work[c]
-            sign = -sign
-        pivot = work[c][c]
-        for i in range(c + 1, n):
-            wic = work[i][c]
-            wi, wc = work[i], work[c]
-            for j in range(c, n):
-                num = pivot * wi[j] - wic * wc[j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss exact-division invariant broken"
-                wi[j] = q
-        prev = pivot
-    value = Fraction(sign * work[n - 1][n - 1])
-    for s in scales:
-        value /= s
-    return value
+    pairs = [_integer_row(row) for row in m.entries]
+    return Fraction(_int_det([r for r, _ in pairs]), prod(s for _, s in pairs))
 
 
 def top_minors(m: QMat):

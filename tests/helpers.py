@@ -2,11 +2,17 @@
 
 Everything here is deliberately written against plain dicts/lists of
 Fractions, not against the package's own MPoly/QMat code paths, so a test
-comparing the two is a genuine dual-route check.
+comparing the two is a genuine dual-route check.  The one exception is the
+stabilizer oracles: they keep the polynomial route the library used before
+its integer index maps (lie_act / lie_act_binary and Subspace.residual),
+and take every rank by the plain Gauss-Jordan oracle_rref below.
 """
 
 from fractions import Fraction
 from math import comb
+
+from biforms.actions import SL2_E, SL2_F, SL2_H, LiePair, lie_act, lie_act_binary
+from biforms.forms import BinaryForm
 
 
 def falling(n, k):
@@ -46,6 +52,11 @@ def form_to_dict(f):
         "degree": f.degree,
         "coeffs": {e[0]: c for e, c in f.poly.terms.items()},
     }
+
+
+def pair_text(p, suffix):
+    """Text of a BinaryForm in the variables X<suffix>, Y<suffix>, in parentheses."""
+    return "(" + str(p).replace("X", "X" + suffix).replace("Y", "Y" + suffix) + ")"
 
 
 def dict_matches_form(d, f):
@@ -89,3 +100,109 @@ def oracle_det(rows):
         minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * oracle_det(minor)
     return total
+
+
+def gauss_det(rows):
+    """Determinant by plain Fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    total = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            total = -total
+        total *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return total
+
+
+_LIE_BASIS = (SL2_E, SL2_F, SL2_H)
+_ZERO2 = ((0, 0), (0, 0))
+
+
+def oracle_projective_stabilizer_dim(f):
+    """dim {(x, c) : lie_act(x, f) = c f} from polynomial Lie-action columns."""
+    columns = [lie_act(LiePair(x, _ZERO2), f).coeff_vector() for x in _LIE_BASIS]
+    columns += [lie_act(LiePair(_ZERO2, x), f).coeff_vector() for x in _LIE_BASIS]
+    columns.append(tuple(-c for c in f.coeff_vector()))
+    return len(columns) - oracle_rref(list(zip(*columns)))[1]
+
+
+def oracle_subspace_stabilizer_dim(w):
+    """dim {x in sl2 : x.W <= W}: residuals of x.w against W's basis must vanish."""
+    b = w.ambient_dim - 1
+    rows = []
+    for vec in w.basis.entries:
+        form = BinaryForm.from_coeff_vector(b, vec)
+        residuals = [w.residual(lie_act_binary(x, form).coeff_vector()) for x in _LIE_BASIS]
+        rows.extend(zip(*residuals))
+    return 3 - oracle_rref(rows)[1]
+
+
+def dict_diff(terms, slot):
+    """Partial derivative of an {exponent tuple: coeff} dict in one variable slot."""
+    out = {}
+    for e, c in terms.items():
+        if e[slot]:
+            lowered = list(e)
+            lowered[slot] -= 1
+            out[tuple(lowered)] = e[slot] * c
+    return out
+
+
+def second_pair_coeffs_desc(terms, n):
+    """{(e1, f1): c} coefficient dicts of a bidegree (., n) term dict, by descending X2 power."""
+    out = [{} for _ in range(n + 1)]
+    for (e1, f1, e2, _), c in terms.items():
+        out[n - e2][(e1, f1)] = c
+    return out
+
+
+def interpolate_lagrange(points):
+    """Ascending coefficients of the polynomial through (t, value) pairs."""
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for i, (ti, yi) in enumerate(points):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for j, (tj, _) in enumerate(points):
+            if j != i:
+                new = [Fraction(0)] * (len(basis) + 1)
+                for k, c in enumerate(basis):
+                    new[k + 1] += c
+                    new[k] -= tj * c
+                basis, denom = new, denom * (ti - tj)
+        for k, c in enumerate(basis):
+            coeffs[k] += yi * c / denom
+    return coeffs
+
+
+def oracle_branch_form(f):
+    """Branch form of a BiForm as {X-exponent: coeff}, by evaluation and interpolation.
+
+    The second-pair partials are taken on the term dict, their (X1,Y1)
+    coefficient forms are evaluated at (t, 1) for t = 0..2a(b-1), each
+    Sylvester determinant is taken by gauss_det, and the values are
+    interpolated by Lagrange.  A vanishing partial gives the zero form.
+    """
+    a, b = f.bidegree
+    n = b - 1
+    target = 2 * a * n
+    terms = dict(f.poly.terms)
+    p, q = dict_diff(terms, 2), dict_diff(terms, 3)
+    if not p or not q:
+        return {}
+    u, v = second_pair_coeffs_desc(p, n), second_pair_coeffs_desc(q, n)
+    points = []
+    for t in range(target + 1):
+        uc = [sum(c * t ** e1 for (e1, _), c in w.items()) for w in u]
+        vc = [sum(c * t ** e1 for (e1, _), c in w.items()) for w in v]
+        rows = [[0] * i + uc + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + vc + [0] * (n - 1 - i) for i in range(n)]
+        points.append((t, gauss_det(rows)))
+    return {k: c for k, c in enumerate(interpolate_lagrange(points)) if c}

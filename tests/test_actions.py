@@ -25,12 +25,21 @@ from biforms import (
     weight_of,
 )
 from biforms.actions import SL2_F, SL2_H
+from biforms.checks import FREENESS_GRID
+from biforms.poly import MPoly, RING_BI
 from biforms.sampling import (
     random_biform,
+    random_binary_form,
     random_group_pair,
+    random_invertible2,
     random_lie_pair,
     random_sl_pair,
     random_subspace,
+)
+from helpers import (
+    oracle_projective_stabilizer_dim,
+    oracle_subspace_stabilizer_dim,
+    pair_text,
 )
 
 IDENT = ((1, 0), (0, 1))
@@ -159,6 +168,61 @@ def test_subspace_stabilizer_examples():
     assert subspace_stabilizer_dim(random_subspace(rng, 7, 3)) == 0   # 3-dim in V_6
     with pytest.raises(ValueError):
         subspace_stabilizer_dim(Subspace.zero(5))
+
+
+def test_stabilizer_dims_match_oracle_on_freeness_grid():
+    rng = Random("stab-oracle-grid")
+    for (a, b) in FREENESS_GRID:
+        f = random_biform(rng, a, b)
+        for form in (f, Fraction(2, 7) * f):
+            assert projective_stabilizer_dim(form) == oracle_projective_stabilizer_dim(form) == 0
+        # RREF bases of random subspaces carry non-integer entries
+        w = random_subspace(rng, b + 1, a + 1)
+        assert subspace_stabilizer_dim(w) == oracle_subspace_stabilizer_dim(w) == 0
+
+
+def _torus_eigenform(rng, a, b, step):
+    """Monomials on the line k2 = step*k1 of Y-exponents: an eigenform of step*H1 - H2."""
+    terms = {(a - k1, k1, b - step * k1, step * k1): Fraction(rng.choice([-3, 1, 2, 5]), 3)
+             for k1 in range(a + 1) if step * k1 <= b}
+    return BiForm((a, b), MPoly(RING_BI, terms))
+
+
+def test_projective_stabilizer_matches_oracle_on_special_orbits():
+    rng = Random("stab-oracle-special")
+    for b in (2, 3, 5, 6):
+        ref = BiForm.parse(f"X1*Y2^{b} + Y1*X2^{b}")
+        assert projective_stabilizer_dim(ref) == oracle_projective_stabilizer_dim(ref) == 1
+        for _ in range(2):
+            moved = act(random_group_pair(rng), ref)
+            assert projective_stabilizer_dim(moved) == oracle_projective_stabilizer_dim(moved) == 1
+    for (a, b) in [(1, 3), (2, 4), (2, 5), (3, 6)]:
+        # decomposables: the dimension is that of the factors' stabilizers
+        p, q = random_binary_form(rng, a), random_binary_form(rng, b)
+        decomposable = BiForm.parse(pair_text(p, "1") + "*" + pair_text(q, "2"))
+        assert projective_stabilizer_dim(decomposable) == \
+            oracle_projective_stabilizer_dim(decomposable)
+        # torus eigenforms and their translates are fixed by a torus
+        eigen = [BiForm.parse(f"X1^{a}*X2^{b}")]
+        for step in range(1, b // a + 1):
+            form = _torus_eigenform(rng, a, b, step)
+            eigen += [form, act(random_sl_pair(rng), form)]
+        for f in eigen:
+            dim = projective_stabilizer_dim(f)
+            assert dim == oracle_projective_stabilizer_dim(f) and dim >= 1
+
+
+def test_subspace_stabilizer_matches_oracle_on_special_subspaces():
+    rng = Random("stab-oracle-subspace")
+    for b in (3, 5, 6, 8):
+        for dim in range(1, b + 1):
+            picks = sorted(rng.sample(range(b + 1), dim))
+            units = [[int(j == i) for j in range(b + 1)] for i in picks]
+            mono = Subspace.from_vectors(b + 1, units)
+            moved = act_on_subspace(random_invertible2(rng), mono)
+            for w in (mono, moved):
+                got = subspace_stabilizer_dim(w)
+                assert got == oracle_subspace_stabilizer_dim(w) and got >= 1
 
 
 def test_det_scalar_examples():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -11,6 +12,15 @@ from biforms.checks import (
     emit,
     run_check,
 )
+
+
+GOLDEN_SEED0 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "registry_seed0.json"
+
+
+def test_report_matches_golden_seed0(full_report):
+    """The timing-free report is byte-identical to the recorded seed-0 golden."""
+    emitted = emit(full_report, "json", include_timing=False).encode()
+    assert emitted == GOLDEN_SEED0.read_bytes()
 
 
 def test_unknown_check_id():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -22,9 +23,17 @@ from biforms import (
     span_dim,
     sylvester_resultant,
 )
+from biforms.checks import DEGREE_GRID
 from biforms.curves import CurveMap, gcd_all
 from biforms.poly import MPoly, RING_XY
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair
+from helpers import (
+    dict_diff,
+    dict_matches_form,
+    oracle_branch_form,
+    pair_text,
+    second_pair_coeffs_desc,
+)
 
 
 def test_phi_components_examples():
@@ -162,12 +171,11 @@ def test_branch_form_against_closed_form_b2():
 
 def _symbolic_sylvester_oracle(f: BiForm) -> BinaryForm:
     """Laplace-expansion resultant of the second-pair partials (small b only)."""
-    from biforms.curves import _second_pair_coeffs_desc
-
     a, b = f.bidegree
     n = b - 1
-    u = _second_pair_coeffs_desc(BiForm((a, n), f.poly.diff("X2")))
-    v = _second_pair_coeffs_desc(BiForm((a, n), f.poly.diff("Y2")))
+    terms = dict(f.poly.terms)
+    u = [MPoly(RING_XY, d) for d in second_pair_coeffs_desc(dict_diff(terms, 2), n)]
+    v = [MPoly(RING_XY, d) for d in second_pair_coeffs_desc(dict_diff(terms, 3), n)]
     zero = MPoly.zero(RING_XY)
     rows = []
     for i in range(n):
@@ -196,6 +204,55 @@ def test_branch_form_against_symbolic_determinant_b3():
         for _ in range(5):
             f = random_biform(rng, a, 3)
             assert branch_form(f) == _symbolic_sylvester_oracle(f)
+
+
+def _assert_matches_oracle(f):
+    bf = branch_form(f)
+    a, b = f.bidegree
+    assert bf.degree == 2 * a * (b - 1)
+    assert dict_matches_form(oracle_branch_form(f), bf)
+    return bf
+
+
+def test_branch_form_matches_oracle():
+    rng = Random("branch-oracle")
+    for (a, b) in DEGREE_GRID + [(1, 1), (3, 1), (2, 2)]:
+        f = random_biform(rng, a, b)
+        for form in (f, Fraction(5, 6) * f):
+            _assert_matches_oracle(form)
+    # a rational form whose terms have different denominators
+    _assert_matches_oracle(BiForm.parse("1/2*X1*X2^3 - 2/3*Y1*X2*Y2^2 + 5/7*X1*Y2^3"))
+
+
+def test_branch_form_special_orbits_match_oracle():
+    rng = Random("branch-oracle-special")
+    for (a, b) in [(1, 3), (2, 3), (1, 4), (2, 4)]:
+        # a repeated root shared by the partials: the branch form vanishes
+        p, r = random_binary_form(rng, a), random_binary_form(rng, b - 2)
+        q = BinaryForm(b, BinaryForm.parse("(X - 2*Y)^2").poly * r.poly)
+        decomposable = BiForm.parse(pair_text(p, "1") + "*" + pair_text(q, "2"))
+        assert _assert_matches_oracle(decomposable).is_zero()
+        # the reference orbit: nonzero but not squarefree
+        moved = act(random_sl_pair(rng), BiForm.parse(f"X1*Y2^{b} + Y1*X2^{b}"))
+        bf = _assert_matches_oracle(moved)
+        assert not bf.is_zero() and not is_squarefree(bf)
+    # b = 1: constant 1, or zero when a partial vanishes
+    assert branch_form(BiForm.parse("X1*X2 + 3*Y1*Y2")) == BinaryForm.parse("1", degree=0)
+    assert _assert_matches_oracle(BiForm.parse("X1^2*X2 - Y1^2*X2")).is_zero()
+
+
+def test_branch_form_against_sympy_resultant():
+    sympy = pytest.importorskip("sympy")
+    x1, y1, x2, y2 = sympy.symbols("X1 Y1 X2 Y2")
+    rng = Random("branch-sympy")
+    for (a, b) in [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3)]:
+        f = random_biform(rng, a, b)
+        big_f = sympy.sympify(str(f).replace("^", "**"))
+        res = sympy.resultant(sympy.diff(big_f, x2).subs(y2, 1),
+                              sympy.diff(big_f, y2).subs(y2, 1), x2)
+        ours = sympy.sympify(str(branch_form(f)).replace("^", "**"),
+                             locals={"X": x1, "Y": y1})
+        assert sympy.expand(res - ours) == 0
 
 
 def test_branch_form_grid_examples():
