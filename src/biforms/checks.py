@@ -31,7 +31,6 @@ sequentially and assembles results in registry order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from time import perf_counter
@@ -106,19 +105,25 @@ FREENESS_GRID = [(a, b) for b in (5, 6, 7, 8) for a in range(1, b)]
 PARITY_ODD_B = (5, 7, 9)
 
 
-@dataclass
+# Plain classes, not dataclasses: importing dataclasses pulls in inspect, ast
+# and dis, about 1 MB of resident memory in every process that imports biforms.
 class CheckResult:
-    check_id: str
-    status: str                 # "pass" | "fail" | "degenerate"
-    witnesses: dict
-    runtime_ms: int = 0
+    __slots__ = ("check_id", "status", "witnesses", "runtime_ms")
+
+    def __init__(self, check_id: str, status: str, witnesses: dict, runtime_ms: int = 0):
+        self.check_id = check_id
+        self.status = status            # "pass" | "fail" | "degenerate"
+        self.witnesses = witnesses
+        self.runtime_ms = runtime_ms
 
 
-@dataclass
 class Report:
-    version: str
-    seed: int
-    checks: list = field(default_factory=list)
+    __slots__ = ("version", "seed", "checks")
+
+    def __init__(self, version: str, seed: int, checks: list | None = None):
+        self.version = version
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     @property
     def summary(self):

@@ -2,9 +2,10 @@
 
 Matrices are small and dense (nothing here exceeds a few dozen rows), so
 QMat stores a rectangular tuple-of-tuples of Fractions.  Elimination uses a
-fraction-free Bareiss forward pass on denominator-cleared integer rows, then
-exact back-substitution; this keeps intermediate integers small at the sizes
-that occur here.
+fraction-free Bareiss forward pass on denominator-cleared integer rows.  rref
+back-substitutes on those integer rows too, dividing each updated row by its
+gcd, and builds one Fraction per output entry (entry over its row's pivot);
+this keeps intermediate integers small at the sizes that occur here.
 
 A Subspace is held in canonical reduced row-echelon form: rows are the basis,
 pivots are 1 with zeros elsewhere in their columns, pivot columns strictly
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 
 class QMat:
@@ -24,7 +25,8 @@ class QMat:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        entries = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                        for row in entries)
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         for row in entries:
@@ -137,23 +139,25 @@ def _int_det(work):
 def rref(m: QMat):
     """Reduced row-echelon form: returns (QMat, rank, pivot_columns).
 
-    Forward pass is the fraction-free Bareiss pass; back-substitution is
-    exact over Q.
+    Forward pass is the fraction-free Bareiss pass; back-substitution stays
+    on the integer rows, each divided by its gcd after every update, and
+    each output entry is one Fraction over its row's pivot.
     """
     work = [_integer_row(row)[0] for row in m.entries]
     pivots, _ = _bareiss(work)
     rank, cols = len(pivots), m.cols
-    # exact back-substitution over Q
-    echelon = [[Fraction(x) for x in work[i]] for i in range(rank)]
+    echelon = work[:rank]
     for i in range(rank - 1, -1, -1):
         piv = pivots[i]
-        inv = echelon[i][piv]
-        echelon[i] = [x / inv for x in echelon[i]]
+        lead = echelon[i][piv]
         for k in range(i):
             factor = echelon[k][piv]
             if factor:
-                echelon[k] = [a - factor * b for a, b in zip(echelon[k], echelon[i])]
-    full = echelon + [[Fraction(0)] * cols for _ in range(m.rows - rank)]
+                row = [lead * a - factor * b for a, b in zip(echelon[k], echelon[i])]
+                g = gcd(*row)
+                echelon[k] = [x // g for x in row]
+    full = [[Fraction(x, row[p]) for x in row] for row, p in zip(echelon, pivots)]
+    full += [[Fraction(0)] * cols for _ in range(m.rows - rank)]
     return QMat(full), rank, tuple(pivots)
 
 

@@ -10,7 +10,10 @@ Grammar (UTF-8 text):
 
 Variables must be named exactly as in the target ring.  Juxtaposition is not
 multiplication: write 3*X^2*Y, never 3X^2Y.  '^' binds tighter than '*',
-which binds tighter than '+'/'-'.  Unary minus is allowed.
+which binds tighter than '+'/'-'.  Unary minus is allowed.  Factors nest at
+most MAX_DEPTH deep (each parenthesis and unary minus opens one more), so
+hostile input raises ParseError instead of exhausting the interpreter's
+recursion limit.
 
 to_string() prints the canonical form (terms in descending lexicographic
 order); parse -> print -> parse is the identity.
@@ -21,6 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import MPoly
+
+# Each nesting level costs the recursive-descent parser at most five stack frames;
+# 100 levels stay well inside the default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -69,6 +76,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -100,10 +108,16 @@ class _Parser:
         return value
 
     def factor(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.peek()[2])
         if self.peek()[0] == "-":
             self.next()
-            return -self.factor()
-        return self.power()
+            value = -self.factor()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self):
         base = self.atom()

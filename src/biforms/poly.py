@@ -20,6 +20,7 @@ All values are immutable after construction and safe to share between tasks.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 
 Rat = Fraction
@@ -52,7 +53,18 @@ class MPoly:
             clean[exps] = coeff
         self.ring = ring
         self._terms = clean
-        self._key = tuple(sorted(clean.items(), reverse=True))
+        self._key = None
+
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """Wrap a term map that is already clean: exponent tuples of the ring's
+        arity, nonzero Fraction coefficients.  Only for results of the
+        arithmetic below; public construction goes through __init__."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p._terms = terms
+        p._key = None
+        return p
 
     @classmethod
     def zero(cls, ring):
@@ -85,6 +97,8 @@ class MPoly:
 
     def items_sorted(self):
         """Terms in canonical order, largest monomial first."""
+        if self._key is None:
+            self._key = tuple(sorted(self._terms.items(), reverse=True))
         return self._key
 
     def is_zero(self):
@@ -124,12 +138,12 @@ class MPoly:
                 terms.pop(exps, None)
             else:
                 terms[exps] = s
-        return MPoly(self.ring, terms)
+        return MPoly._trusted(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.ring, {e: -c for e, c in self._terms.items()})
+        return MPoly._trusted(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -146,13 +160,13 @@ class MPoly:
         terms = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        return MPoly(self.ring, terms)
+        return MPoly._trusted(self.ring, terms)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -161,7 +175,7 @@ class MPoly:
         c = Fraction(c)
         if c == 0:
             return MPoly.zero(self.ring)
-        return MPoly(self.ring, {e: c * v for e, v in self._terms.items()})
+        return MPoly._trusted(self.ring, {e: c * v for e, v in self._terms.items()})
 
     def __pow__(self, n):
         if n < 0 or n != int(n):
@@ -194,7 +208,7 @@ class MPoly:
                 e2[i] -= 1
                 new[tuple(e2)] = c * e[i]
             terms = new
-        return MPoly(self.ring, terms)
+        return MPoly._trusted(self.ring, terms)
 
     def evaluate(self, point):
         """Exact value at a point given as a sequence of Fractions."""
@@ -239,7 +253,7 @@ class MPoly:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, self._key))
+        return hash((self.ring, self.items_sorted()))
 
     def __str__(self):
         from .parsing import to_string

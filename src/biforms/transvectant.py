@@ -12,7 +12,11 @@ it.  T_0 is the plain product and T_r(Q, P) = (-1)^r T_r(P, Q).
 
 For biforms the (r,s)-th bi-transvectant is the double Cayley sum over both
 variable pairs; on decomposable forms P1(X1,Y1)*P2(X2,Y2) it factors exactly
-as T_r on the first pair times T_s on the second.
+as T_r on the first pair times T_s on the second.  transvectant (as T_(r,0)
+on the first pair), bitransvectant and transvectant_matrix share one integer
+kernel on exponent indices: f's (r,s) derivative table is built once, and
+each term of the second operand adds a shifted, scaled copy of it (one unit
+monomial per column for the matrix).
 
 apolar_diffop realizes the extreme transvectant r = d' <= d by substituting
 (-d/dY, d/dX) for (X, Y) in P', applying the resulting operator to P and
@@ -24,33 +28,19 @@ verification registry re-derives numerically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from .forms import BiForm, BinaryForm, biform_basis, embed_second
-from .linalg import QMat
-from .poly import MPoly, RING_XY
-
-
-def _derivative_table(p: MPoly, xvar, yvar, r):
-    """table[i] = d^r p / d xvar^(r-i) d yvar^i for i = 0..r."""
-    row = [p]
-    for _ in range(r):
-        row = [q.diff(xvar) for q in row] + [row[-1].diff(yvar)]
-    return row
+from .forms import BiForm, BinaryForm, biform_basis, embed_first, embed_second, extract_first
+from .linalg import QMat, _integer_row
+from .poly import MPoly, RING_BI, RING_XY
 
 
 def transvectant(p: BinaryForm, q: BinaryForm, r: int) -> BinaryForm:
-    """r-th transvectant of binary forms; degree d + d' - 2r."""
-    d, e = p.degree, q.degree
-    if r < 0 or r > min(d, e):
-        raise ValueError(f"order {r} out of range for degrees ({d}, {e})")
-    dp = _derivative_table(p.poly, "X", "Y", r)
-    dq = _derivative_table(q.poly, "X", "Y", r)
-    total = MPoly.zero(RING_XY)
-    for i in range(r + 1):
-        term = dp[i] * dq[r - i]
-        total = total + term.scale((-1) ** i * comb(r, i))
-    return BinaryForm(d + e - 2 * r, total)
+    """r-th transvectant of binary forms; degree d + d' - 2r.
+
+    It is T_(r,0) of the two forms placed on the first variable pair.
+    """
+    return extract_first(bitransvectant(embed_first(p), embed_first(q), r, 0))
 
 
 def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
@@ -70,25 +60,65 @@ def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     return BinaryForm(d - e, total.scale(factorial(e)))
 
 
-def bitransvectant(f: BiForm, g: BiForm, r: int, s: int) -> BiForm:
-    """(r,s)-th bi-transvectant: the double Cayley sum over both pairs."""
-    a, b = f.bidegree
-    a2, b2 = g.bidegree
+def _cayley(f: BiForm, r, s, source_bidegree, operands):
+    """T_(r,s)(f, g) for each operand g: (target bidegree, den, vectors).
+
+    An operand is a list of (exponents, integer coefficient) terms of the
+    source bidegree; vectors[k] / den is the coefficient vector of
+    T_(r,s)(f, operands[k]) in the canonical target basis.
+
+    table[i][j] holds (-1)^(i+j) C(r,i) C(s,j) d^(r+s) f / dX1^(r-i) dY1^i
+    dX2^(s-j) dY2^j.  An operand term c*X1^p Y1^q X2^u Y2^v meets it through
+    d^(r+s) / dX1^i dY1^(r-i) dX2^j dY2^(s-j): c times falling factorials,
+    with the Y exponents shifted by (q-r+i, v-s+j).  X1^(A-e1) Y1^e1 X2^(B-e3)
+    Y2^e3 is entry e1*(B+1) + e3 of biform_basis(A, B), so the table stores
+    that index and a shift is one addition.
+    """
+    (a, b), (a2, b2) = f.bidegree, source_bidegree
     if r < 0 or r > min(a, a2):
         raise ValueError(f"first-pair order {r} out of range for ({a}, {a2})")
     if s < 0 or s > min(b, b2):
         raise ValueError(f"second-pair order {s} out of range for ({b}, {b2})")
-    df = [_derivative_table(row, "X2", "Y2", s)
-          for row in _derivative_table(f.poly, "X1", "Y1", r)]
-    dg = [_derivative_table(row, "X2", "Y2", s)
-          for row in _derivative_table(g.poly, "X1", "Y1", r)]
-    total = MPoly.zero(f.poly.ring)
-    for i in range(r + 1):
-        ci = comb(r, i)
-        for j in range(s + 1):
-            term = df[i][j] * dg[r - i][s - j]
-            total = total + term.scale((-1) ** (i + j) * ci * comb(s, j))
-    return BiForm((a + a2 - 2 * r, b + b2 - 2 * s), total)
+    target = (a + a2 - 2 * r, b + b2 - 2 * s)
+    width = target[1] + 1
+    coeffs, den = _integer_row(list(f.poly.terms.values()))
+    table = [[[] for _ in range(s + 1)] for _ in range(r + 1)]
+    for (x1, y1, x2, y2), c in zip(f.poly.terms, coeffs):
+        for i in range(r + 1):
+            ci = (-1) ** i * comb(r, i) * c * perm(x1, r - i) * perm(y1, i)
+            if not ci:
+                continue
+            for j in range(s + 1):
+                w = (-1) ** j * comb(s, j) * ci * perm(x2, s - j) * perm(y2, j)
+                if w:
+                    table[i][j].append(((y1 - i) * width + y2 - j, w))
+    vectors = []
+    for terms in operands:
+        out = [0] * ((target[0] + 1) * width)
+        for (p, q, u, v), c in terms:
+            for i in range(r + 1):
+                ci = c * perm(p, i) * perm(q, r - i)
+                if not ci:
+                    continue
+                row_shift = (q - r + i) * width - s
+                for j in range(s + 1):
+                    k = ci * perm(u, j) * perm(v, s - j)
+                    if not k:
+                        continue
+                    shift = row_shift + v + j
+                    for t, w in table[i][j]:
+                        out[t + shift] += k * w
+        vectors.append(out)
+    return target, den, vectors
+
+
+def bitransvectant(f: BiForm, g: BiForm, r: int, s: int) -> BiForm:
+    """(r,s)-th bi-transvectant: the double Cayley sum over both pairs."""
+    coeffs, den_g = _integer_row(list(g.poly.terms.values()))
+    target, den, (vec,) = _cayley(f, r, s, g.bidegree, [list(zip(g.poly.terms, coeffs))])
+    den *= den_g
+    terms = {e: Fraction(c, den) for e, c in zip(biform_basis(*target), vec) if c}
+    return BiForm(target, MPoly(RING_BI, terms))
 
 
 def specialized_1s(f: BiForm, g: BiForm, s: int) -> BiForm:
@@ -114,17 +144,12 @@ def transvectant_matrix(f: BiForm, r: int, s: int, source_bidegree) -> QMat:
 
     Column j is the coefficient vector of T_(r,s)(f, e_j) where e_j is the
     j-th canonical basis monomial of the source space; rows are indexed by
-    the canonical basis of the target space.
+    the canonical basis of the target space.  f's derivative table is built
+    once for all columns.
     """
-    a2, b2 = source_bidegree
-    a, b = f.bidegree
-    if r < 0 or r > min(a, a2) or s < 0 or s > min(b, b2):
-        raise ValueError(f"orders ({r}, {s}) out of range for {f.bidegree} x {source_bidegree}")
-    columns = []
-    for exps in biform_basis(a2, b2):
-        e = BiForm((a2, b2), MPoly(f.poly.ring, {exps: Fraction(1)}))
-        columns.append(bitransvectant(f, e, r, s).coeff_vector())
-    return QMat.from_columns(columns)
+    units = [[(exps, 1)] for exps in biform_basis(*source_bidegree)]
+    _, den, columns = _cayley(f, r, s, source_bidegree, units)
+    return QMat([[Fraction(x, den) for x in row] for row in zip(*columns)])
 
 
 def cg_components(d: int, d2: int):

@@ -2,17 +2,21 @@
 
 Everything here is deliberately written against plain dicts/lists of
 Fractions, not against the package's own MPoly/QMat code paths, so a test
-comparing the two is a genuine dual-route check.  The one exception is the
-stabilizer oracles: they keep the polynomial route the library used before
-its integer index maps (lie_act / lie_act_binary and Subspace.residual),
-and take every rank by the plain Gauss-Jordan oracle_rref below.
+comparing the two is a genuine dual-route check.  Two exceptions keep the
+polynomial routes the library used before its integer index maps: the
+stabilizer oracles (lie_act / lie_act_binary and Subspace.residual, every
+rank by the plain Gauss-Jordan oracle_rref below), and the bi-transvectant
+oracles (MPoly products of both operands' full derivative tables, one
+bi-transvectant per matrix column).
 """
 
 from fractions import Fraction
 from math import comb
 
 from biforms.actions import SL2_E, SL2_F, SL2_H, LiePair, lie_act, lie_act_binary
-from biforms.forms import BinaryForm
+from biforms.forms import BiForm, BinaryForm, biform_basis
+from biforms.linalg import QMat
+from biforms.poly import MPoly, RING_BI
 
 
 def falling(n, k):
@@ -44,6 +48,38 @@ def oracle_transvectant(p, q, r):
                 k = (u - (r - i)) + (v - i)
                 out[k] = out.get(k, Fraction(0)) + sign * fu * fv * cu * cv
     return {k: c for k, c in out.items() if c != 0}
+
+
+def _mpoly_derivative_table(p, xvar, yvar, r):
+    """table[i] = d^r p / d xvar^(r-i) d yvar^i for i = 0..r, by MPoly.diff."""
+    row = [p]
+    for _ in range(r):
+        row = [q.diff(xvar) for q in row] + [row[-1].diff(yvar)]
+    return row
+
+
+def oracle_bitransvectant(f, g, r, s):
+    """T_(r,s)(f, g) as the double Cayley sum of MPoly products of derivative tables."""
+    (a, b), (a2, b2) = f.bidegree, g.bidegree
+    df = [_mpoly_derivative_table(row, "X2", "Y2", s)
+          for row in _mpoly_derivative_table(f.poly, "X1", "Y1", r)]
+    dg = [_mpoly_derivative_table(row, "X2", "Y2", s)
+          for row in _mpoly_derivative_table(g.poly, "X1", "Y1", r)]
+    total = MPoly.zero(RING_BI)
+    for i in range(r + 1):
+        for j in range(s + 1):
+            term = df[i][j] * dg[r - i][s - j]
+            total = total + term.scale((-1) ** (i + j) * comb(r, i) * comb(s, j))
+    return BiForm((a + a2 - 2 * r, b + b2 - 2 * s), total)
+
+
+def oracle_transvectant_matrix(f, r, s, source_bidegree):
+    """Matrix of G -> T_(r,s)(f, G): one oracle_bitransvectant per basis monomial."""
+    columns = []
+    for exps in biform_basis(*source_bidegree):
+        e = BiForm(source_bidegree, MPoly(RING_BI, {exps: 1}))
+        columns.append(oracle_bitransvectant(f, e, r, s).coeff_vector())
+    return QMat.from_columns(columns)
 
 
 def form_to_dict(f):

@@ -45,6 +45,14 @@ def test_transvect_parse_error_exits_2(capsys):
     assert main(["transvect", "--lhs", "X^2 +", "--rhs", "Y", "--r", "0"]) == 2
     assert main(["transvect", "--lhs", "X", "--rhs", "Y", "--r", "5"]) == 2
     assert main(["transvect", "--lhs", "X + X^2", "--rhs", "Y", "--r", "0"]) == 2
+    assert main(["transvect", "--lhs", "X1*X2 + Y1", "--rhs", "X1", "--r", "0", "--s", "0"]) == 2
+
+
+def test_deeply_nested_form_exits_2(capsys):
+    form = "X1*Y2^2 + Y1*X2^2"
+    assert main(["curve", "--form", "(" * 50 + form + ")" * 50, "--span"]) == 0
+    assert main(["curve", "--form", "(" * 3000 + form + ")" * 3000, "--span"]) == 2
+    assert "nesting" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

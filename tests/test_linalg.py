@@ -84,6 +84,31 @@ def test_rref_with_fractions():
         assert [list(r) for r in reduced.entries] == o_rows
 
 
+def test_rref_shapes_match_oracle():
+    # tall, wide, zero, rank-deficient and rational matrices of the sizes
+    # transvectant matrices reach
+    rng = Random("rref-shapes")
+
+    def rational(rows, cols):
+        return QMat([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)]
+                     for _ in range(rows)])
+
+    cases = [QMat.zero(rows, cols) for rows, cols in [(1, 1), (3, 5), (5, 3)]]
+    for rows, cols in [(18, 9), (9, 18), (12, 12), (1, 10), (10, 1)]:
+        inner = max(1, min(rows, cols) // 2)
+        cases += [
+            rand_mat(rng, rows, cols),
+            rand_mat(rng, rows, inner) * rand_mat(rng, inner, cols),
+            rational(rows, cols),
+            rational(rows, inner) * rand_mat(rng, inner, cols),
+        ]
+    for m in cases:
+        reduced, rk, piv = rref(m)
+        o_rows, o_rank, o_piv = oracle_rref([list(r) for r in m.entries])
+        assert rk == o_rank and list(piv) == o_piv
+        assert [list(r) for r in reduced.entries] == o_rows
+
+
 def test_kernel_examples():
     assert kernel_basis(QMat.identity(4)).dim == 0
     k = kernel_basis(QMat([[1, 1]]))

@@ -84,3 +84,24 @@ def test_zero_coefficients_never_stored():
     assert p.is_zero() and not p.terms
     q = parse_form("X*Y + X*Y", RING_XY) - parse_form("2*X*Y", RING_XY)
     assert q.is_zero()
+
+
+def test_arithmetic_results_are_canonical():
+    # results of + - * scale diff neg skip validation; they must equal a
+    # validated construction of the same terms in every observable way
+    rng = Random("lean-mpoly")
+    for ring in (RING_XY, RING_BI):
+        x = MPoly.variable(ring, ring[0])
+        for _ in range(30):
+            p, q = rand_poly(rng, ring), rand_poly(rng, ring)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            p = p.scale(c) + q
+            results = [p + q, p - q, (p + q) - q, p - p, p * q, (x - q) * (x + q), -p,
+                       p.scale(c), 3 * p, p + 2, 2 - p, p * MPoly.zero(ring), p ** 2]
+            results += [p.diff(v) for v in ring] + [p.diff(ring[0], 3)]
+            for res in results:
+                assert all(type(v) is Fraction and v != 0 for v in res.terms.values())
+                fresh = MPoly(ring, dict(res.terms))
+                assert res == fresh and hash(res) == hash(fresh)
+                assert res.items_sorted() == fresh.items_sorted()
+                assert str(res) == str(fresh)

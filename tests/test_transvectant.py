@@ -16,9 +16,17 @@ from biforms import (
     transvectant,
     transvectant_matrix,
 )
+from biforms.checks import PAIRING_14, PAIRING_18, REFERENCE_12, SLICE_WITNESS_16
+from biforms.forms import biform_basis
 from biforms.sampling import random_biform, random_binary_form
 
-from helpers import dict_matches_form, form_to_dict, oracle_transvectant
+from helpers import (
+    dict_matches_form,
+    form_to_dict,
+    oracle_bitransvectant,
+    oracle_transvectant,
+    oracle_transvectant_matrix,
+)
 
 
 def test_transvectant_examples():
@@ -168,6 +176,49 @@ def test_transvectant_matrix_columns_match_direct_evaluation():
     for j, exps in enumerate(biform_basis(1, 2)):
         e = BiForm((1, 2), MPoly(RING_BI, {exps: Fraction(1)}))
         assert m.column(j) == bitransvectant(f, e, 1, 1).coeff_vector()
+
+
+def _oracle_cases():
+    """(f, g, r, s) on a seeded grid: every order pair from (0, 0) to the
+    maximum, integer, rational and zero operands."""
+    rng = Random("cayley-oracle")
+
+    def operand(a, b):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return BiForm.zero((a, b))
+        if kind == 1:
+            return BiForm.from_coeff_vector((a, b), [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in biform_basis(a, b)])
+        return random_biform(rng, a, b)
+
+    for _ in range(40):
+        a, a2 = rng.randint(0, 2), rng.randint(0, 2)
+        b, b2 = rng.randint(0, 5), rng.randint(0, 5)
+        f, g = operand(a, b), operand(a2, b2)
+        for r in range(min(a, a2) + 1):
+            for s in range(min(b, b2) + 1):
+                yield f, g, r, s
+
+
+def test_bitransvectant_matches_oracle():
+    for f, g, r, s in _oracle_cases():
+        assert bitransvectant(f, g, r, s) == oracle_bitransvectant(f, g, r, s)
+    h, hp = BiForm.parse(PAIRING_18), BiForm.parse(PAIRING_14)
+    for x, y in [(h, hp), (hp, h), (h, h), (BiForm.parse(SLICE_WITNESS_16), BiForm.parse(REFERENCE_12))]:
+        for r, s in [(0, 0), (1, 0), (0, 2), (1, 2)]:
+            assert bitransvectant(x, y, r, s) == oracle_bitransvectant(x, y, r, s)
+
+
+def test_transvectant_matrix_matches_oracle():
+    for f, g, r, s in _oracle_cases():
+        source = g.bidegree
+        assert transvectant_matrix(f, r, s, source) == oracle_transvectant_matrix(f, r, s, source)
+    # the paper fixtures with the source bidegrees of their T_(1,2) pairings
+    for text, source in [(PAIRING_18, (1, 4)), (SLICE_WITNESS_16, (1, 2)),
+                         (PAIRING_14, (1, 8)), (REFERENCE_12, (1, 6))]:
+        f = BiForm.parse(text)
+        assert transvectant_matrix(f, 1, 2, source) == oracle_transvectant_matrix(f, 1, 2, source)
 
 
 def test_cg_components():
