@@ -8,7 +8,7 @@ the biform <-> rational space curve dictionary, and a seeded verification
 registry (C01..C14) with a CLI front end.
 """
 
-from .poly import MPoly, Rat, RING_BI, RING_XY, RING_XYZ, differentiate, evaluate, multiply
+from .poly import MPoly, Rat, RING_BI, RING_XY, RING_XYZ
 from .parsing import ParseError, parse_form, to_string
 from .forms import (
     BiForm,
@@ -29,8 +29,6 @@ from .linalg import (
     kernel_basis,
     rank,
     rref,
-    subspace_contains,
-    subspace_equal,
     top_minors,
 )
 from .transvectant import (
@@ -70,6 +68,4 @@ from .curves import (
     span_dim,
     sylvester_resultant,
 )
-from .checks import CheckResult, Report, emit, run_all, run_check
-
-__version__ = "0.1.0"
+from .checks import VERSION as __version__, CheckResult, Report, emit, run_all, run_check

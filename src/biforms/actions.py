@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .forms import BiForm, BinaryForm, TernaryForm, binary_basis
 from .linalg import QMat, Subspace, _bareiss, _integer_row, det
-from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
+from .poly import MPoly, RING_XY
 
 
 def _mat2(entries):
@@ -122,21 +122,23 @@ SL2_F = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))  # Y d/dX
 SL2_H = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
 
 
-def _pair_images(ring, g1, g2):
-    def lin(xname, yname, col0, col1):
-        x = MPoly.variable(ring, xname)
-        y = MPoly.variable(ring, yname)
-        return x.scale(col0[0]) + y.scale(col0[1]), x.scale(col1[0]) + y.scale(col1[1])
-    # (X', Y') = (X, Y) . g  =>  X' = g00 X + g10 Y,  Y' = g01 X + g11 Y
-    i1 = lin("X1", "Y1", (g1[0][0], g1[1][0]), (g1[0][1], g1[1][1]))
-    i2 = lin("X2", "Y2", (g2[0][0], g2[1][0]), (g2[0][1], g2[1][1]))
-    return [i1[0], i1[1], i2[0], i2[1]]
+def _images(f, mats):
+    """Images of f's variables under v -> v . m, one matrix m per variable group:
+    the j-th variable of a group goes to sum_i m[i][j] * (its i-th variable)."""
+    if tuple(map(len, mats)) != f.groups:
+        raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
+    n = len(f.ring)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    images = []
+    for m in mats:
+        group, units = units[:len(m)], units[len(m):]
+        images += [MPoly(f.ring, {u: row[j] for u, row in zip(group, m)}) for j in range(len(m))]
+    return images
 
 
 def act(g: GroupPair, f: BiForm) -> BiForm:
     """Substitution action of a GroupPair on a biform (bidegree preserved)."""
-    images = _pair_images(RING_BI, g.g1, g.g2)
-    return BiForm(f.bidegree, f.poly.substitute(images))
+    return f._replace(f.poly.substitute(_images(f, (g.g1, g.g2))))
 
 
 def act_binary(g, f: BinaryForm) -> BinaryForm:
@@ -144,33 +146,23 @@ def act_binary(g, f: BinaryForm) -> BinaryForm:
     g = _mat2(g)
     if _det2(g) == 0:
         raise ValueError("singular matrix")
-    x = MPoly.variable(RING_XY, "X")
-    y = MPoly.variable(RING_XY, "Y")
-    images = [x.scale(g[0][0]) + y.scale(g[1][0]), x.scale(g[0][1]) + y.scale(g[1][1])]
-    return BinaryForm(f.degree, f.poly.substitute(images))
+    return f._replace(f.poly.substitute(_images(f, (g,))))
 
 
 def act_ternary(g: G3Element, f: TernaryForm) -> TernaryForm:
     """Substitution action (X,Y,Z) -> (X,Y,Z).g on a ternary form."""
-    m = g.mat
-    vs = [MPoly.variable(RING_XYZ, v) for v in RING_XYZ]
-    images = [vs[0].scale(m[0][j]) + vs[1].scale(m[1][j]) + vs[2].scale(m[2][j])
-              for j in range(3)]
-    return TernaryForm(f.degree, f.poly.substitute(images))
+    return f._replace(f.poly.substitute(_images(f, (g.mat,))))
 
 
-def _derivation(poly, xname, yname, x):
-    xv = MPoly.variable(poly.ring, xname)
-    yv = MPoly.variable(poly.ring, yname)
-    cx = xv.scale(x[0][0]) + yv.scale(x[1][0])
-    cy = xv.scale(x[0][1]) + yv.scale(x[1][1])
-    return cx * poly.diff(xname) + cy * poly.diff(yname)
+def _derivation(f, mats):
+    """sum_v image(v) * dF/dv: the derivative at the identity of the substitution."""
+    terms = (image * f.poly.diff(v) for v, image in zip(f.ring, _images(f, mats)))
+    return f._replace(sum(terms, MPoly.zero(f.ring)))
 
 
 def lie_act(x: LiePair, f: BiForm) -> BiForm:
     """Derivation action of sl2 x sl2: the derivative of act at the identity."""
-    p = _derivation(f.poly, "X1", "Y1", x.x1) + _derivation(f.poly, "X2", "Y2", x.x2)
-    return BiForm(f.bidegree, p)
+    return _derivation(f, (x.x1, x.x2))
 
 
 def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
@@ -178,7 +170,7 @@ def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
     x = _mat2(x)
     if x[0][0] + x[1][1] != 0:
         raise ValueError("non-traceless input")
-    return BinaryForm(f.degree, _derivation(f.poly, "X", "Y", x))
+    return _derivation(f, (x,))
 
 
 def matrix_of_binary_action(g, b: int) -> QMat:

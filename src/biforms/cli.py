@@ -17,34 +17,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .checks import REGISTRY, Report, VERSION, emit, run_all, run_check
 from .curves import branch_form, hyperplane_degree, phi_components, span_dim
 from .forms import BiForm, BinaryForm
 from .linalg import kernel_basis
-from .parsing import ParseError, parse_form
-from .poly import RING_BI, RING_XY
+from .parsing import ParseError
 from .transvectant import bitransvectant, transvectant, transvectant_matrix
 
 
 class UsageError(Exception):
     pass
-
-
-def _parse_binary(text):
-    poly = parse_form(text, RING_XY)
-    if poly.is_zero():
-        raise UsageError("zero form: degree is ambiguous")
-    if not poly.is_homogeneous():
-        raise UsageError(f"not homogeneous: {text!r}")
-    return BinaryForm.from_poly(poly)
-
-
-def _parse_biform(text):
-    poly = parse_form(text, RING_BI)
-    if poly.is_zero():
-        raise UsageError("zero form: bidegree is ambiguous")
-    return BiForm.from_poly(poly)
 
 
 def _cmd_verify(args):
@@ -66,18 +50,18 @@ def _cmd_verify(args):
 
 def _cmd_transvect(args):
     if args.s is None:
-        p = _parse_binary(args.lhs)
-        q = _parse_binary(args.rhs)
+        p = BinaryForm.parse(args.lhs)
+        q = BinaryForm.parse(args.rhs)
         print(transvectant(p, q, args.r))
     else:
-        f = _parse_biform(args.lhs)
-        g = _parse_biform(args.rhs)
+        f = BiForm.parse(args.lhs)
+        g = BiForm.parse(args.rhs)
         print(bitransvectant(f, g, args.r, args.s))
     return 0
 
 
 def _cmd_kernel(args):
-    f = _parse_biform(args.form)
+    f = BiForm.parse(args.form)
     try:
         a2, b2 = (int(x) for x in args.source.split(","))
     except ValueError as exc:
@@ -93,7 +77,7 @@ def _cmd_kernel(args):
 
 
 def _cmd_curve(args):
-    f = _parse_biform(args.form)
+    f = BiForm.parse(args.form)
     if args.branch:
         print(branch_form(f))
     elif args.span:
@@ -104,7 +88,9 @@ def _cmd_curve(args):
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="biforms")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,12 +1,17 @@
-"""Homogeneous form types: BinaryForm, BiForm, TernaryForm.
+"""Homogeneous forms: BinaryForm, BiForm, TernaryForm.
 
-Each type wraps an MPoly together with its declared degree data and rejects
-inhomogeneous input.  The zero form is allowed and keeps its nominal degree,
-so dimension bookkeeping stays well defined.
+One type, `_Form`, wraps an MPoly with its degree and rejects input that is
+not homogeneous of that degree in each group of variables.  The three public
+classes only declare their ring and its variable groups: a binary form lives
+on (X, Y), one group of two; a biform on (X1, Y1 | X2, Y2), two groups of
+two, with the bidegree as its degree; a ternary form on (X, Y, Z), one group
+of three.  The zero form is allowed and keeps its nominal degree, so
+dimension bookkeeping stays well defined.
 
-Monomial bases are enumerated in descending lexicographic order (X^d first
-for binary forms, X1-heavy terms first for biforms); coefficient vectors and
-matrices throughout the package use this ordering.
+Every monomial basis is the same function of the grading, in descending
+lexicographic order on exponent tuples (X^d first for binary forms,
+X1-heavy terms first for biforms); coefficient vectors and matrices
+throughout the package use this ordering.
 
 Binomial-scaled coordinates: a degree-d binary form can be written
 f = sum_i C(d,i) * alpha_i * X^i * Y^(d-i); binomial_coeffs / from_binomial_coeffs
@@ -17,45 +22,127 @@ the storage basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
 from .parsing import parse_form
 
 
+def _monomials(n, d):
+    """Exponent tuples of the degree-d monomials in n variables, descending lex."""
+    if n == 1:
+        return [(d,)]
+    return [(i, *rest) for i in range(d, -1, -1) for rest in _monomials(n - 1, d - i)]
+
+
+@lru_cache(maxsize=256)
+def _basis(groups, grading):
+    """Monomials of degree grading[k] in the k-th group of groups[k]
+    consecutive variables, in descending lexicographic order."""
+    out = [()]
+    for n, d in zip(groups, grading):
+        out = [e + m for e in out for m in _monomials(n, d)]
+    return tuple(out)
+
+
 def binary_basis(d):
     """Exponent tuples of the degree-d binary monomials, X^d first."""
-    return [(d - k, k) for k in range(d + 1)]
+    return list(_basis(BinaryForm.groups, (d,)))
 
 
 def biform_basis(a, b):
     """Exponent tuples of the bidegree-(a,b) monomials, descending lex."""
-    out = []
-    for i in range(a, -1, -1):
-        for j in range(b, -1, -1):
-            out.append((i, a - i, j, b - j))
-    return out
+    return list(_basis(BiForm.groups, (a, b)))
 
 
 def ternary_basis(d):
     """Exponent tuples of the degree-d ternary monomials, descending lex."""
-    out = []
-    for i in range(d, -1, -1):
-        for j in range(d - i, -1, -1):
-            out.append((i, j, d - i - j))
-    return out
+    return list(_basis(TernaryForm.groups, (d,)))
 
 
 class _Form:
-    __slots__ = ("poly",)
+    """A polynomial over `ring` of fixed degree in each group of variables.
+
+    A subclass declares `ring`, the sizes `groups` of its consecutive
+    variable groups, and `grade`, which maps an exponent tuple to its degree
+    as the constructor takes it: an int for one group, a tuple of ints for
+    several.  The degree is kept in the slot `_degree`, which each subclass
+    also binds under its public name.
+    """
+
+    __slots__ = ("_degree", "poly")
+
+    def __init__(self, degree, poly):
+        if poly.ring != self.ring:
+            raise ValueError(f"{type(self).__name__} requires ring {self.ring}")
+        terms = poly.terms
+        grade = self.grade
+        for exps in terms:
+            if grade(exps) != degree:
+                raise ValueError(f"term {exps} is not of degree {degree}")
+        if not terms:  # no term's grade has vouched for the degree
+            self._grading(degree)
+        self._degree = degree
+        self.poly = poly
+
+    @classmethod
+    def _grading(cls, degree):
+        """The degree as a tuple with one entry per variable group."""
+        grading = degree if len(cls.groups) > 1 else (degree,)
+        if (type(grading) is not tuple or len(grading) != len(cls.groups)
+                or not all(type(d) is int and d >= 0 for d in grading)):
+            raise ValueError(f"{cls.__name__} needs one int >= 0 per variable group, "
+                             f"not {degree!r}")
+        return grading
+
+    def _replace(self, poly):
+        """This form's type and degree around `poly`, which must have them: the
+        sum, difference, scaling, linear substitution within each variable
+        group, or derivation of such forms' polynomials."""
+        new = object.__new__(type(self))
+        new._degree = self._degree
+        new.poly = poly
+        return new
+
+    @classmethod
+    def zero(cls, degree):
+        return cls(degree, MPoly.zero(cls.ring))
+
+    @classmethod
+    def from_poly(cls, poly, degree=None, *, bidegree=None):
+        """Wrap a homogeneous MPoly; the degree is read off a term when not
+        given.  `bidegree` is BiForm's name for `degree`."""
+        if bidegree is not None:
+            degree = bidegree
+        if degree is None:
+            if poly.is_zero():
+                raise ValueError("zero polynomial needs an explicit degree")
+            if poly.ring == cls.ring:  # otherwise the constructor rejects the ring
+                degree = cls.grade(next(iter(poly.terms)))
+        return cls(degree, poly)
+
+    @classmethod
+    def parse(cls, text, degree=None, *, bidegree=None):
+        return cls.from_poly(parse_form(text, cls.ring), degree, bidegree=bidegree)
+
+    def coeff_vector(self):
+        """Coefficients in the canonical basis."""
+        return tuple(map(self.poly.coefficient, _basis(self.groups, self._grading(self._degree))))
+
+    def _from_coeff_vector(cls, degree, vec):
+        basis = _basis(cls.groups, cls._grading(degree))
+        if len(vec) != len(basis):
+            raise ValueError("coefficient vector has wrong length")
+        return cls(degree, MPoly(cls.ring, {e: Fraction(c) for e, c in zip(basis, vec) if c}))
 
     def __add__(self, other):
-        if type(other) is not type(self) or other._degree_key() != self._degree_key():
+        if type(other) is not type(self) or other._degree != self._degree:
             raise ValueError("can only add forms of identical degree")
         return self._replace(self.poly + other.poly)
 
     def __sub__(self, other):
-        if type(other) is not type(self) or other._degree_key() != self._degree_key():
+        if type(other) is not type(self) or other._degree != self._degree:
             raise ValueError("can only subtract forms of identical degree")
         return self._replace(self.poly - other.poly)
 
@@ -71,69 +158,33 @@ class _Form:
     def __eq__(self, other):
         return (
             type(other) is type(self)
-            and self._degree_key() == other._degree_key()
+            and self._degree == other._degree
             and self.poly == other.poly
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, self._degree_key(), self.poly))
+        return hash((type(self).__name__, self._degree, self.poly))
 
     def __str__(self):
         return str(self.poly)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self._degree_key()}, {self.poly})"
+        return f"{type(self).__name__}({self._degree}, {self.poly})"
 
+
+# Each class binds coeff_vector and from_coeff_vector in its own body, because
+# perfbench/tracer.py wraps them per class, read from the class __dict__.  Each
+# binds a fresh classmethod of the shared function: a classmethod read off
+# another class would stay bound to that class and build its instances.
 
 class BinaryForm(_Form):
     """Homogeneous polynomial of fixed degree in (X, Y)."""
 
-    __slots__ = ("degree",)
-
-    def __init__(self, degree, poly):
-        if poly.ring != RING_XY:
-            raise ValueError(f"BinaryForm requires ring {RING_XY}")
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        for exps in poly.terms:
-            if sum(exps) != degree:
-                raise ValueError(f"term {exps} is not of degree {degree}")
-        self.degree = degree
-        self.poly = poly
-
-    def _degree_key(self):
-        return self.degree
-
-    def _replace(self, poly):
-        return BinaryForm(self.degree, poly)
-
-    @classmethod
-    def zero(cls, degree):
-        return cls(degree, MPoly.zero(RING_XY))
-
-    @classmethod
-    def from_poly(cls, poly, degree=None):
-        """Wrap a homogeneous MPoly; the degree is inferred when nonzero."""
-        if degree is None:
-            if poly.is_zero():
-                raise ValueError("zero polynomial needs an explicit degree")
-            degree = poly.total_degree()
-        return cls(degree, poly)
-
-    @classmethod
-    def parse(cls, text, degree=None):
-        return cls.from_poly(parse_form(text, RING_XY), degree)
-
-    def coeff_vector(self):
-        """Coefficients in the canonical basis (X^d first)."""
-        return tuple(self.poly.coefficient(e) for e in binary_basis(self.degree))
-
-    @classmethod
-    def from_coeff_vector(cls, degree, vec):
-        basis = binary_basis(degree)
-        if len(vec) != len(basis):
-            raise ValueError("coefficient vector has wrong length")
-        return cls(degree, MPoly(RING_XY, {e: Fraction(c) for e, c in zip(basis, vec) if c}))
+    __slots__ = ()
+    ring, groups, grade = RING_XY, (2,), sum
+    degree = _Form._degree
+    coeff_vector = _Form.coeff_vector
+    from_coeff_vector = classmethod(_Form._from_coeff_vector)
 
     def dx(self, order=1):
         return BinaryForm(max(self.degree - order, 0), self.poly.diff("X", order))
@@ -145,52 +196,12 @@ class BinaryForm(_Form):
 class BiForm(_Form):
     """Bihomogeneous polynomial of fixed bidegree in (X1,Y1),(X2,Y2)."""
 
-    __slots__ = ("bidegree",)
-
-    def __init__(self, bidegree, poly):
-        a, b = bidegree
-        if poly.ring != RING_BI:
-            raise ValueError(f"BiForm requires ring {RING_BI}")
-        if a < 0 or b < 0:
-            raise ValueError("bidegree components must be >= 0")
-        for exps in poly.terms:
-            if exps[0] + exps[1] != a or exps[2] + exps[3] != b:
-                raise ValueError(f"term {exps} is not of bidegree {(a, b)}")
-        self.bidegree = (a, b)
-        self.poly = poly
-
-    def _degree_key(self):
-        return self.bidegree
-
-    def _replace(self, poly):
-        return BiForm(self.bidegree, poly)
-
-    @classmethod
-    def zero(cls, bidegree):
-        return cls(bidegree, MPoly.zero(RING_BI))
-
-    @classmethod
-    def from_poly(cls, poly, bidegree=None):
-        if bidegree is None:
-            if poly.is_zero():
-                raise ValueError("zero polynomial needs an explicit bidegree")
-            bidegree = (poly.degree_in((0, 1)), poly.degree_in((2, 3)))
-        return cls(bidegree, poly)
-
-    @classmethod
-    def parse(cls, text, bidegree=None):
-        return cls.from_poly(parse_form(text, RING_BI), bidegree)
-
-    def coeff_vector(self):
-        a, b = self.bidegree
-        return tuple(self.poly.coefficient(e) for e in biform_basis(a, b))
-
-    @classmethod
-    def from_coeff_vector(cls, bidegree, vec):
-        basis = biform_basis(*bidegree)
-        if len(vec) != len(basis):
-            raise ValueError("coefficient vector has wrong length")
-        return cls(bidegree, MPoly(RING_BI, {e: Fraction(c) for e, c in zip(basis, vec) if c}))
+    __slots__ = ()
+    ring, groups = RING_BI, (2, 2)
+    grade = staticmethod(lambda e: (e[0] + e[1], e[2] + e[3]))
+    bidegree = _Form._degree
+    coeff_vector = _Form.coeff_vector
+    from_coeff_vector = classmethod(_Form._from_coeff_vector)
 
     @classmethod
     def from_pq(cls, p: BinaryForm, q: BinaryForm):
@@ -214,50 +225,11 @@ class BiForm(_Form):
 class TernaryForm(_Form):
     """Homogeneous polynomial of fixed degree in (X, Y, Z)."""
 
-    __slots__ = ("degree",)
-
-    def __init__(self, degree, poly):
-        if poly.ring != RING_XYZ:
-            raise ValueError(f"TernaryForm requires ring {RING_XYZ}")
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        for exps in poly.terms:
-            if sum(exps) != degree:
-                raise ValueError(f"term {exps} is not of degree {degree}")
-        self.degree = degree
-        self.poly = poly
-
-    def _degree_key(self):
-        return self.degree
-
-    def _replace(self, poly):
-        return TernaryForm(self.degree, poly)
-
-    @classmethod
-    def zero(cls, degree):
-        return cls(degree, MPoly.zero(RING_XYZ))
-
-    @classmethod
-    def from_poly(cls, poly, degree=None):
-        if degree is None:
-            if poly.is_zero():
-                raise ValueError("zero polynomial needs an explicit degree")
-            degree = poly.total_degree()
-        return cls(degree, poly)
-
-    @classmethod
-    def parse(cls, text, degree=None):
-        return cls.from_poly(parse_form(text, RING_XYZ), degree)
-
-    def coeff_vector(self):
-        return tuple(self.poly.coefficient(e) for e in ternary_basis(self.degree))
-
-    @classmethod
-    def from_coeff_vector(cls, degree, vec):
-        basis = ternary_basis(degree)
-        if len(vec) != len(basis):
-            raise ValueError("coefficient vector has wrong length")
-        return cls(degree, MPoly(RING_XYZ, {e: Fraction(c) for e, c in zip(basis, vec) if c}))
+    __slots__ = ()
+    ring, groups, grade = RING_XYZ, (3,), sum
+    degree = _Form._degree
+    coeff_vector = _Form.coeff_vector
+    from_coeff_vector = classmethod(_Form._from_coeff_vector)
 
 
 def embed_first(p: BinaryForm) -> BiForm:

@@ -230,16 +230,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def subspace_contains(w: Subspace, v) -> bool:
-    return w.contains(v)
-
-
-def subspace_equal(w1: Subspace, w2: Subspace) -> bool:
-    if w1.ambient_dim != w2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return w1 == w2
-
-
 def kernel_basis(m: QMat) -> Subspace:
     """Canonical basis of the null space {v : m v = 0} in Q^cols."""
     reduced, rk, pivots = rref(m)

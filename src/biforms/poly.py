@@ -104,22 +104,6 @@ class MPoly:
     def is_zero(self):
         return not self._terms
 
-    def total_degree(self):
-        """Max total degree over terms; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
-
-    def degree_in(self, var_indices):
-        """Max combined exponent over the given variable slots; 0 if zero."""
-        if not self._terms:
-            return 0
-        return max(sum(e[i] for i in var_indices) for e in self._terms)
-
     def coefficient(self, exps):
         return self._terms.get(tuple(exps), Fraction(0))
 
@@ -262,15 +246,3 @@ class MPoly:
     def __repr__(self):
         return f"MPoly({self})"
 
-
-def multiply(p: MPoly, q: MPoly) -> MPoly:
-    """Exact product of two polynomials over the same ring."""
-    return p * q
-
-
-def differentiate(p: MPoly, var: str, order: int = 1) -> MPoly:
-    return p.diff(var, order)
-
-
-def evaluate(p: MPoly, point) -> Rat:
-    return p.evaluate(point)

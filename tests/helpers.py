@@ -82,6 +82,29 @@ def oracle_transvectant_matrix(f, r, s, source_bidegree):
     return QMat.from_columns(columns)
 
 
+def oracle_binary_basis(d):
+    """Degree-d binary exponents, X^d first (explicit loop)."""
+    return [(d - k, k) for k in range(d + 1)]
+
+
+def oracle_biform_basis(a, b):
+    """Bidegree-(a,b) exponents in descending lex order (explicit loops)."""
+    out = []
+    for i in range(a, -1, -1):
+        for j in range(b, -1, -1):
+            out.append((i, a - i, j, b - j))
+    return out
+
+
+def oracle_ternary_basis(d):
+    """Degree-d ternary exponents in descending lex order (explicit loops)."""
+    out = []
+    for i in range(d, -1, -1):
+        for j in range(d - i, -1, -1):
+            out.append((i, j, d - i - j))
+    return out
+
+
 def form_to_dict(f):
     """BinaryForm -> the oracle's representation."""
     return {

@@ -22,6 +22,8 @@ from biforms import (
     matrix_of_binary_action,
     projective_stabilizer_dim,
     subspace_stabilizer_dim,
+    tensor_product,
+    ternary_basis,
     weight_of,
 )
 from biforms.actions import SL2_F, SL2_H
@@ -86,6 +88,40 @@ def test_act_ternary_examples():
     assert act_ternary(eye, f) == f
     diag = G3Element([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
     assert act_ternary(diag, TernaryForm.parse("X*Y*Z")) == TernaryForm.parse("30*X*Y*Z")
+
+
+def test_act_matches_binary_action_on_tensor_products():
+    rng = Random("tensor-action")
+    for _ in range(20):
+        p = random_binary_form(rng, rng.randint(0, 3))
+        q = random_binary_form(rng, rng.randint(0, 4))
+        g1, g2 = random_invertible2(rng), random_invertible2(rng)
+        assert act(GroupPair(g1, g2), tensor_product(p, q)) == tensor_product(
+            act_binary(g1, p), act_binary(g2, q))
+    with pytest.raises(ValueError):
+        lie_act(LiePair(SL2_H, SL2_H), p)
+    with pytest.raises(ValueError):
+        act_ternary(G3Element([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), tensor_product(p, q))
+
+
+def _random_g3(rng):
+    while True:
+        try:
+            return G3Element([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+        except ValueError:  # singular
+            continue
+
+
+def test_act_ternary_is_group_action():
+    rng = Random("ternary-action")
+    for _ in range(15):
+        d = rng.randint(0, 4)
+        basis = ternary_basis(d)
+        f = TernaryForm.from_coeff_vector(d, [rng.randint(-5, 5) for _ in basis])
+        g, h = _random_g3(rng), _random_g3(rng)
+        gh = G3Element([[sum(g.mat[i][k] * h.mat[k][j] for k in range(3)) for j in range(3)]
+                        for i in range(3)])
+        assert act_ternary(gh, f) == act_ternary(g, act_ternary(h, f))
 
 
 def test_lie_act_examples():

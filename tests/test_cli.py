@@ -46,6 +46,8 @@ def test_transvect_parse_error_exits_2(capsys):
     assert main(["transvect", "--lhs", "X", "--rhs", "Y", "--r", "5"]) == 2
     assert main(["transvect", "--lhs", "X + X^2", "--rhs", "Y", "--r", "0"]) == 2
     assert main(["transvect", "--lhs", "X1*X2 + Y1", "--rhs", "X1", "--r", "0", "--s", "0"]) == 2
+    assert main(["transvect", "--lhs", "0", "--rhs", "X", "--r", "0"]) == 2
+    assert main(["transvect", "--lhs", "X1", "--rhs", "0", "--r", "0", "--s", "0"]) == 2
 
 
 def test_deeply_nested_form_exits_2(capsys):
@@ -58,6 +60,8 @@ def test_deeply_nested_form_exits_2(capsys):
 def test_usage_error_exits_2():
     assert main(["transvect", "--lhs", "X"]) == 2
     assert main(["no-such-command"]) == 2
+    assert main(["curve", "--form", "0", "--span"]) == 2
+    assert main(["kernel", "--form", "0", "--r", "0", "--s", "0", "--source", "1,1"]) == 2
 
 
 def test_kernel_command(capsys):

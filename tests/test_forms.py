@@ -6,27 +6,53 @@ import pytest
 from biforms import (
     BiForm,
     BinaryForm,
+    MPoly,
     TernaryForm,
     binomial_coeffs,
     from_binomial_coeffs,
     parse_form,
+    binary_basis,
+    biform_basis,
     tensor_product,
+    ternary_basis,
     RING_BI,
     RING_XY,
+    RING_XYZ,
 )
 from biforms.forms import embed_first, embed_second, extract_first, extract_second
 from biforms.sampling import random_binary_form
+from helpers import oracle_biform_basis, oracle_binary_basis, oracle_ternary_basis
+
+
+# (class, degree, a form of that degree, a wrong degree, a negative degree,
+#  an inhomogeneous text, a poly in another ring)
+FORM_CASES = [
+    (BinaryForm, 3, "X^2*Y - 2*Y^3", 2, -1, "X^2 + X", MPoly.variable(RING_XYZ, "Z")),
+    (BiForm, (1, 2), "X1*Y2^2 + 5*Y1*X2^2", (2, 1), (1, -1), "X1*Y2^2 + X1^2*Y2^2",
+     MPoly.variable(RING_XY, "X")),
+    (TernaryForm, 2, "X^2 - 3/2*Y*Z", 3, -2, "X^2 + Y^3", MPoly.variable(RING_BI, "X1")),
+]
 
 
 def test_homogeneity_guards():
-    with pytest.raises(ValueError):
-        BinaryForm(2, parse_form("X^2 + X", RING_XY))
-    with pytest.raises(ValueError):
-        BinaryForm(3, parse_form("X^2", RING_XY))
-    with pytest.raises(ValueError):
-        BiForm((1, 2), parse_form("X1*Y2^2 + X1^2*Y2^2", RING_BI))
-    with pytest.raises(ValueError):
-        TernaryForm.parse("X^2 + Y^3")
+    for cls, degree, text, wrong, negative, inhomogeneous, foreign in FORM_CASES:
+        f = cls.parse(text)
+        assert cls(degree, f.poly) == f
+        for bad in (
+            lambda: cls(wrong, f.poly),
+            lambda: cls(degree, foreign),
+            lambda: cls.from_poly(foreign),
+            lambda: cls.zero(negative),
+            lambda: cls.from_coeff_vector(negative, []),
+            lambda: cls.parse(inhomogeneous),
+            lambda: cls(degree, parse_form(inhomogeneous, cls.ring)),
+            lambda: cls.from_coeff_vector(degree, f.coeff_vector()[:-1]),
+            lambda: cls.from_coeff_vector(degree, f.coeff_vector() + (1,)),
+            lambda: cls.parse("0"),
+            lambda: cls.from_poly(MPoly.zero(cls.ring)),
+        ):
+            with pytest.raises(ValueError):
+                bad()
 
 
 def test_zero_form_keeps_degree():
@@ -60,6 +86,19 @@ def test_binomial_roundtrip_all_degrees():
 def test_coeff_vector_roundtrip():
     f = BiForm.parse("X1*Y2^2 + 5*Y1*X2^2")
     assert BiForm.from_coeff_vector((1, 2), f.coeff_vector()) == f
+    for cls, degree, text, *_ in FORM_CASES:
+        for g in (cls.parse(text), cls.zero(degree)):
+            vec = g.coeff_vector()
+            assert cls.from_coeff_vector(degree, vec) == g
+            assert hash(cls.from_coeff_vector(degree, vec)) == hash(g)
+
+
+def test_bases_match_explicit_loops():
+    for d in range(11):
+        assert binary_basis(d) == oracle_binary_basis(d)
+        assert ternary_basis(d) == oracle_ternary_basis(d)
+        for e in range(11):
+            assert biform_basis(d, e) == oracle_biform_basis(d, e)
 
 
 def test_embed_extract():
