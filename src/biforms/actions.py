@@ -9,6 +9,14 @@ arbitrary invertible rational representatives; scalar bookkeeping (what the
 center does on each representation) is checked by the verification registry
 rather than carried by a dedicated projective type.
 
+act, act_binary and matrix_of_binary_action run on integers.  With g's
+denominators cleared once (G = s*g), the image of X^(d-k) Y^k is the integer
+column of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k: two binomial rows and one
+convolution, built per call only for the exponents k that occur.  A form is
+transformed one variable group at a time, and each output coefficient is one
+Fraction over den * s1^a * s2^b (den clears the form's own denominators).
+act_ternary substitutes MPoly images.
+
 The Lie-algebra action is the derivative of the substitution action: a 2x2
 traceless x sends a form P in (X, Y) to
 
@@ -26,14 +34,15 @@ stabilizer components are checked by explicit candidate elements.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 
-from .forms import BiForm, BinaryForm, TernaryForm, binary_basis
+from .forms import BiForm, BinaryForm, TernaryForm
 from .linalg import QMat, Subspace, _bareiss, _integer_row, det
-from .poly import MPoly, RING_XY
+from .poly import MPoly
 
 
 def _mat2(entries):
-    m = tuple(tuple(Fraction(x) for x in row) for row in entries)
+    m = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in entries)
     if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ValueError("2x2 matrix required")
     return m
@@ -43,16 +52,21 @@ def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
+def _invertible2(entries):
+    m = _mat2(entries)
+    if _det2(m) == 0:
+        raise ValueError("singular matrix")
+    return m
+
+
 class GroupPair:
     """Pair of invertible 2x2 rational matrices acting on biforms."""
 
     __slots__ = ("g1", "g2")
 
     def __init__(self, g1, g2):
-        self.g1 = _mat2(g1)
-        self.g2 = _mat2(g2)
-        if _det2(self.g1) == 0 or _det2(self.g2) == 0:
-            raise ValueError("singular matrix")
+        self.g1 = _invertible2(g1)
+        self.g2 = _invertible2(g2)
 
     @property
     def is_sl(self):
@@ -136,17 +150,75 @@ def _images(f, mats):
     return images
 
 
+def _integer_matrix(m):
+    """(G, s): a 2x2 rational matrix times the lcm s of its denominators."""
+    s = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
+
+
+def _binomial_row(x, y, n):
+    """Coefficients of (x X + y Y)^n, index i at X^(n-i) Y^i."""
+    return [comb(n, i) * x ** (n - i) * y ** i for i in range(n + 1)]
+
+
+def _power_column(G, d, k):
+    """Coefficients of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, the image of
+    X^(d-k) Y^k, index j at X^(d-j) Y^j: two binomial rows, one convolution."""
+    p = _binomial_row(G[0][0], G[1][0], d - k)
+    q = _binomial_row(G[0][1], G[1][1], k)
+    column = [0] * (d + 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                column[i + j] += x * y
+    return column
+
+
+def _act(f, mats):
+    """Substitution action of one 2x2 matrix per variable group, on integers.
+
+    With G = s*g and f's coefficients cleared to integers over den, each
+    group is transformed in turn: a term's Y-exponent k in that group spreads
+    over the integer column of X^(d-k) Y^k, built once per call for each k
+    that occurs.  The result is one Fraction(v, den * prod s^d) per term.
+    """
+    if tuple(map(len, mats)) != f.groups:
+        raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
+    grading = f._grading(f._degree)
+    terms = f.poly.terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    # key: the Y-exponent of each group (its X-exponent is the group degree minus it)
+    work = {e[1::2]: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    for group, (m, d) in enumerate(zip(mats, grading)):
+        G, s = _integer_matrix(m)
+        den *= s ** d
+        columns = {}
+        out = {}
+        for key, n in work.items():
+            k = key[group]
+            column = columns.get(k)
+            if column is None:
+                column = columns[k] = _power_column(G, d, k)
+            for j, x in enumerate(column):
+                if x:
+                    new = key[:group] + (j,) + key[group + 1:]
+                    out[new] = out.get(new, 0) + n * x
+        work = out
+    image = {}
+    for key, v in work.items():
+        if v:
+            image[tuple(e for d, k in zip(grading, key) for e in (d - k, k))] = Fraction(v, den)
+    return f._replace(MPoly._trusted(f.ring, image))
+
+
 def act(g: GroupPair, f: BiForm) -> BiForm:
     """Substitution action of a GroupPair on a biform (bidegree preserved)."""
-    return f._replace(f.poly.substitute(_images(f, (g.g1, g.g2))))
+    return _act(f, (g.g1, g.g2))
 
 
 def act_binary(g, f: BinaryForm) -> BinaryForm:
     """Substitution action of a single 2x2 matrix on a binary form."""
-    g = _mat2(g)
-    if _det2(g) == 0:
-        raise ValueError("singular matrix")
-    return f._replace(f.poly.substitute(_images(f, (g,))))
+    return _act(f, (_invertible2(g),))
 
 
 def act_ternary(g: G3Element, f: TernaryForm) -> TernaryForm:
@@ -175,11 +247,10 @@ def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
 
 def matrix_of_binary_action(g, b: int) -> QMat:
     """Matrix of act_binary(g, .) on V_b in the canonical monomial basis."""
-    columns = []
-    for exps in binary_basis(b):
-        m = BinaryForm(b, MPoly(RING_XY, {exps: Fraction(1)}))
-        columns.append(act_binary(g, m).coeff_vector())
-    return QMat.from_columns(columns)
+    G, s = _integer_matrix(_invertible2(g))
+    scale = s ** b
+    return QMat.from_columns([[Fraction(x, scale) for x in _power_column(G, b, k)]
+                              for k in range(b + 1)])
 
 
 def _sl2_images(vec, d, step):

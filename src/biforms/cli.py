@@ -8,7 +8,8 @@ Subcommands:
     curve     --form EXPR (--branch | --span | --degree) [--seed N]
 
 Exit codes: 0 all checks pass / computation succeeded, 1 some check failed,
-2 usage or parse error.  Polynomial arguments use the package grammar;
+2 usage or parse error, 3 internal error (any other exception, reported as
+one line on stderr).  Polynomial arguments use the package grammar;
 transvect with --s and the other biform arguments use variables X1,Y1,X2,Y2,
 plain binary forms use X,Y.
 """
@@ -137,6 +138,9 @@ def main(argv=None) -> int:
     except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

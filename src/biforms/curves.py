@@ -11,9 +11,13 @@ Resultants are taken on full bihomogeneous Sylvester matrices, so roots at
 infinity need no special-casing.  Polynomial-coefficient resultants (branch
 forms) are computed by exact interpolation: the Sylvester determinant is
 homogeneous of known degree, so it is pinned down by integer evaluations.
-The branch route builds no polynomials: the second-pair partials, times the
-lcm s of F's denominators, are integer arrays evaluated by Horner, and each
-Sylvester determinant is an integer Bareiss pass divided by s^(2(b-1)).
+The branch route builds no polynomials and no Fractions until its output:
+the second-pair partials, times the lcm s of F's denominators, are integer
+arrays evaluated by Horner at t = 0..2a(b-1), and each Sylvester determinant
+is an integer Bareiss pass.  These samples are the values of an integer
+polynomial in t, so its Newton divided differences are exact integer
+divisions; the Newton form is expanded on integers and each coefficient is
+divided by s^(2(b-1)) once.
 
 singular_system computes linear systems of plane curves singular at
 prescribed exact points.
@@ -222,28 +226,32 @@ def sylvester_resultant(p: BinaryForm, q: BinaryForm) -> Fraction:
 
 
 def _interpolate(points):
-    """Coefficients (ascending) of the polynomial through (t, value) pairs."""
-    # Newton form, then expand to the monomial basis
-    ts = [Fraction(t) for t, _ in points]
-    divided = [Fraction(v) for _, v in points]
+    """Ascending coefficients of the integer polynomial through (t, value) pairs.
+
+    Nodes and values are integers.  For a polynomial with integer
+    coefficients every Newton divided difference over integer nodes is an
+    integer, so each division is exact; a remainder means the values come
+    from no such polynomial and raises ArithmeticError.
+    """
+    ts = [t for t, _ in points]
+    divided = [v for _, v in points]
     n = len(points)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (ts[i] - ts[i - level])
-    coeffs = [Fraction(0)] * n
-    # horner-style accumulation of sum_k divided[k] * prod_{i<k} (t - ts[i])
-    acc = [Fraction(0)]
+            q, rem = divmod(divided[i] - divided[i - 1], ts[i] - ts[i - level])
+            if rem:
+                raise ArithmeticError("divided difference is not an integer")
+            divided[i] = q
+    # Horner on the Newton form: acc = acc * (t - ts[k]) + divided[k]
+    acc = []
     for k in range(n - 1, -1, -1):
-        # acc = acc * (t - ts[k]) + divided[k]
-        new = [Fraction(0)] * (len(acc) + 1)
+        new = [0] * (len(acc) + 1)
         for i, c in enumerate(acc):
             new[i + 1] += c
             new[i] -= c * ts[k]
         new[0] += divided[k]
         acc = new
-    for i, c in enumerate(acc[:n]):
-        coeffs[i] = c
-    return coeffs
+    return acc
 
 
 def branch_form(f: BiForm) -> BinaryForm:
@@ -272,18 +280,15 @@ def branch_form(f: BiForm) -> BinaryForm:
     # Sylvester determinant has entries homogeneous of degree a, size 2n,
     # so it is homogeneous of degree 2an = target (or identically zero);
     # interpolate its dehomogenization from target+1 integer evaluations.
-    scale = s ** (2 * n)
     samples = []
     for t in range(target + 1):
         uc = [_horner(w, t) for w in u]
         vc = [_horner(w, t) for w in v]
-        samples.append((t, Fraction(_int_det(_sylvester_rows(uc, vc)), scale)))
-    coeffs = _interpolate(samples)
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            terms[(i, target - i)] = c
-    return BinaryForm(target, MPoly(RING_XY, terms))
+        samples.append((t, _int_det(_sylvester_rows(uc, vc))))
+    scale = s ** (2 * n)
+    terms = {(i, target - i): Fraction(c, scale)
+             for i, c in enumerate(_interpolate(samples)) if c}
+    return BinaryForm(target, MPoly._trusted(RING_XY, terms))
 
 
 def _horner(coeffs, t):

@@ -132,6 +132,8 @@ def _bareiss(work):
 
 def _int_det(work):
     """Determinant of a square matrix given as integer rows (consumed)."""
+    if not work:
+        return 1
     pivots, sign = _bareiss(work)
     return sign * work[-1][-1] if len(pivots) == len(work) else 0
 
@@ -253,8 +255,6 @@ def det(m: QMat) -> Fraction:
     """Exact determinant (fraction-free Bareiss on integerized rows)."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    if m.rows == 0:
-        return Fraction(1)
     pairs = [_integer_row(row) for row in m.entries]
     return Fraction(_int_det([r for r, _ in pairs]), prod(s for _, s in pairs))
 
@@ -268,7 +268,8 @@ def top_minors(m: QMat):
     """
     if m.cols > m.rows:
         raise ValueError("top_minors requires rows >= cols")
-    out = []
-    for subset in combinations(range(m.rows), m.cols):
-        out.append(det(QMat([m.entries[i] for i in subset])))
-    return tuple(out)
+    # each row integerized once; a minor is its integer det over the row scales
+    pairs = [_integer_row(row) for row in m.entries]
+    return tuple(Fraction(_int_det([pairs[i][0][:] for i in subset]),
+                          prod(pairs[i][1] for i in subset))
+                 for subset in combinations(range(m.rows), m.cols))

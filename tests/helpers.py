@@ -2,21 +2,23 @@
 
 Everything here is deliberately written against plain dicts/lists of
 Fractions, not against the package's own MPoly/QMat code paths, so a test
-comparing the two is a genuine dual-route check.  Two exceptions keep the
+comparing the two is a genuine dual-route check.  Three exceptions keep the
 polynomial routes the library used before its integer index maps: the
 stabilizer oracles (lie_act / lie_act_binary and Subspace.residual, every
-rank by the plain Gauss-Jordan oracle_rref below), and the bi-transvectant
+rank by the plain Gauss-Jordan oracle_rref below), the bi-transvectant
 oracles (MPoly products of both operands' full derivative tables, one
-bi-transvectant per matrix column).
+bi-transvectant per matrix column), and the substitution action
+(MPoly.substitute on the images of the variables, one form per matrix
+column).
 """
 
 from fractions import Fraction
 from math import comb
 
-from biforms.actions import SL2_E, SL2_F, SL2_H, LiePair, lie_act, lie_act_binary
+from biforms.actions import SL2_E, SL2_F, SL2_H, GroupPair, LiePair, lie_act, lie_act_binary
 from biforms.forms import BiForm, BinaryForm, biform_basis
 from biforms.linalg import QMat
-from biforms.poly import MPoly, RING_BI
+from biforms.poly import MPoly, RING_BI, RING_XY
 
 
 def falling(n, k):
@@ -79,6 +81,29 @@ def oracle_transvectant_matrix(f, r, s, source_bidegree):
     for exps in biform_basis(*source_bidegree):
         e = BiForm(source_bidegree, MPoly(RING_BI, {exps: 1}))
         columns.append(oracle_bitransvectant(f, e, r, s).coeff_vector())
+    return QMat.from_columns(columns)
+
+
+def oracle_act(g, f):
+    """act (g a GroupPair, f a BiForm) or act_binary (g a 2x2 matrix, f a
+    BinaryForm) by MPoly.substitute: the j-th variable of each group goes to
+    sum_i g[i][j] * (the group's i-th variable)."""
+    mats = (g.g1, g.g2) if isinstance(g, GroupPair) else (g,)
+    n = len(f.ring)
+    images = []
+    for start, m in zip(range(0, n, 2), mats):
+        for j in range(2):
+            images.append(MPoly(f.ring, {
+                tuple(int(v == start + i) for v in range(n)): Fraction(m[i][j])
+                for i in range(2)}))
+    degree = f.bidegree if isinstance(f, BiForm) else f.degree
+    return type(f)(degree, f.poly.substitute(images))
+
+
+def oracle_matrix_of_binary_action(g, b):
+    """Matrix of act_binary(g, .) on V_b: one oracle_act per basis monomial."""
+    columns = [oracle_act(g, BinaryForm(b, MPoly(RING_XY, {e: 1}))).coeff_vector()
+               for e in oracle_binary_basis(b)]
     return QMat.from_columns(columns)
 
 

@@ -39,6 +39,8 @@ from biforms.sampling import (
     random_subspace,
 )
 from helpers import (
+    oracle_act,
+    oracle_matrix_of_binary_action,
     oracle_projective_stabilizer_dim,
     oracle_subspace_stabilizer_dim,
     pair_text,
@@ -295,6 +297,51 @@ def test_matrix_of_binary_action():
         a_mat = matrix_of_binary_action(g, b)
         f = BinaryForm.from_coeff_vector(b, [rng.randint(-9, 9) for _ in range(b + 1)])
         assert a_mat.matvec(f.coeff_vector()) == act_binary(g, f).coeff_vector()
+
+
+# integer, diagonal, swap, two shears, negative entries, and rational matrices
+ORACLE_MATRICES = (
+    IDENT, MINUS, SWAP, ((2, 0), (0, -3)), ((1, 4), (0, 1)), ((1, 0), (-3, 1)),
+    ((-2, -7), (5, -1)), ((Fraction(5, 2), 1), (Fraction(1, 3), -2)),
+    ((Fraction(1, 3), 0), (4, Fraction(5, 2))),
+)
+
+
+def _oracle_forms(rng, form_type, degree, basis):
+    """Zero, two single monomials (one rational) and two dense forms (one rational)."""
+    pick = [rng.randrange(len(basis)) for _ in range(2)]
+    vectors = [[0] * len(basis),
+               [int(i == pick[0]) for i in range(len(basis))],
+               [Fraction(-5, 2) * (i == pick[1]) for i in range(len(basis))],
+               [rng.randint(-9, 9) for _ in basis],
+               [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in basis]]
+    return [form_type.from_coeff_vector(degree, v) for v in vectors]
+
+
+def test_act_matches_oracle():
+    rng = Random("act-oracle")
+    for a in range(4):
+        for b in range(9):
+            basis = BiForm.zero((a, b)).coeff_vector()
+            for f in _oracle_forms(rng, BiForm, (a, b), basis):
+                pairs = [GroupPair(rng.choice(ORACLE_MATRICES), rng.choice(ORACLE_MATRICES)),
+                         random_group_pair(rng)]
+                for g in pairs:
+                    assert act(g, f) == oracle_act(g, f)
+
+
+def test_act_binary_and_matrix_match_oracle():
+    rng = Random("act-binary-oracle")
+    for d in range(9):
+        mats = [*ORACLE_MATRICES, random_invertible2(rng), random_invertible2(rng)]
+        for g in mats:
+            assert matrix_of_binary_action(g, d) == oracle_matrix_of_binary_action(g, d)
+            for f in _oracle_forms(rng, BinaryForm, d, BinaryForm.zero(d).coeff_vector()):
+                assert act_binary(g, f) == oracle_act(g, f)
+    with pytest.raises(ValueError):
+        matrix_of_binary_action(((1, 2), (2, 4)), 3)
+    with pytest.raises(ValueError):
+        act(GroupPair(IDENT, IDENT), BinaryForm.zero(2))
 
 
 def test_transvectant_equivariance():

@@ -1,7 +1,7 @@
 import json
 
+from biforms import checks, cli
 from biforms.cli import main
-from biforms import checks
 
 
 def test_verify_single_check(capsys, tmp_path):
@@ -55,6 +55,19 @@ def test_deeply_nested_form_exits_2(capsys):
     assert main(["curve", "--form", "(" * 50 + form + ")" * 50, "--span"]) == 0
     assert main(["curve", "--form", "(" * 3000 + form + ")" * 3000, "--span"]) == 2
     assert "nesting" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(f):
+        raise RuntimeError("broken\nhandler")
+    monkeypatch.setattr(cli, "branch_form", broken)
+    assert main(["curve", "--form", "X1*Y2^2 + Y1*X2^2", "--branch"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError('broken\\nhandler')\n"
+    monkeypatch.setitem(checks.REGISTRY, "C05", ("stub", lambda rng: 1 / 0))
+    assert main(["verify", "--check", "C05"]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_usage_error_exits_2():

@@ -24,7 +24,7 @@ from biforms import (
     sylvester_resultant,
 )
 from biforms.checks import DEGREE_GRID
-from biforms.curves import CurveMap, gcd_all
+from biforms.curves import CurveMap, _interpolate, gcd_all
 from biforms.poly import MPoly, RING_XY
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair
 from helpers import (
@@ -253,6 +253,22 @@ def test_branch_form_against_sympy_resultant():
         ours = sympy.sympify(str(branch_form(f)).replace("^", "**"),
                              locals={"X": x1, "Y": y1})
         assert sympy.expand(res - ours) == 0
+
+
+def test_interpolate_round_trips_integer_polynomials():
+    rng = Random("interpolate")
+    for degree in range(0, 13):
+        coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
+        value = lambda t: sum(c * t ** i for i, c in enumerate(coeffs))
+        assert _interpolate([(t, value(t)) for t in range(degree + 1)]) == coeffs
+        nodes = rng.sample(range(-20, 21), degree + 3)  # distinct, unordered, extra
+        assert _interpolate([(t, value(t)) for t in nodes]) == coeffs + [0, 0]
+
+
+def test_interpolate_rejects_non_integer_coefficients():
+    # t(t-1)/2 is integer-valued, but its coefficients are not integers
+    with pytest.raises(ArithmeticError):
+        _interpolate([(t, t * (t - 1) // 2) for t in range(5)])
 
 
 def test_branch_form_grid_examples():

@@ -187,3 +187,19 @@ def test_top_minors_scale_by_det():
         base = top_minors(m)
         d = det(g)
         assert scaled == tuple(d * x for x in base)
+
+
+def test_top_minors_match_per_subset_det():
+    from itertools import combinations
+    rng = Random("top-minors-det")
+    shapes = [(1, 1), (4, 1), (5, 2), (6, 3), (4, 4), (7, 3), (6, 5)]
+    for rows, cols in shapes:
+        integer = rand_mat(rng, rows, cols)
+        rational = QMat([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
+                         for _ in range(rows)])
+        low_rank = integer * QMat([[1] * cols] + [[0] * cols] * (cols - 1))
+        for m in (integer, rational, low_rank):
+            expected = tuple(det(QMat([m.entries[i] for i in subset]))
+                             for subset in combinations(range(rows), cols))
+            assert top_minors(m) == expected
+    assert top_minors(QMat([[], []])) == (Fraction(1),)
