@@ -8,7 +8,7 @@ the biform <-> rational space curve dictionary, and a seeded verification
 registry (C01..C14) with a CLI front end.
 """
 
-from .poly import MPoly, Rat, RING_BI, RING_XY, RING_XYZ
+from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
 from .parsing import ParseError, parse_form, to_string
 from .forms import (
     BiForm,

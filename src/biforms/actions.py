@@ -9,26 +9,29 @@ arbitrary invertible rational representatives; scalar bookkeeping (what the
 center does on each representation) is checked by the verification registry
 rather than carried by a dedicated projective type.
 
-act, act_binary and matrix_of_binary_action run on integers.  With g's
-denominators cleared once (G = s*g), the image of X^(d-k) Y^k is the integer
-column of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k: two binomial rows and one
-convolution, built per call only for the exponents k that occur.  A form is
-transformed one variable group at a time, and each output coefficient is one
-Fraction over den * s1^a * s2^b (den clears the form's own denominators).
-act_ternary substitutes MPoly images.
+act, act_binary and matrix_of_binary_action run on the integer storage of a
+form.  With g's denominators cleared once (G = s*g), the image of X^(d-k) Y^k
+is the integer column of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k: two
+binomial rows and one convolution, built per call only for the exponents k
+that occur.  A form's vector is transformed one variable group at a time,
+and its denominator gains s^d per group.  act_ternary still substitutes MPoly
+images (MPoly.substitute).
 
 The Lie-algebra action is the derivative of the substitution action: a 2x2
 traceless x sends a form P in (X, Y) to
 
     (x00*X + x10*Y) dP/dX + (x01*X + x11*Y) dP/dY,
 
-so [[0,1],[0,0]] acts as X d/dY and [[0,0],[1,0]] as Y d/dX.
+so [[0,1],[0,0]] acts as E = X d/dY, [[0,0],[1,0]] as F = Y d/dX, and x as
+x01*E + x10*F + x00*H with H = X d/dX - Y d/dY.
 
-Stabilizers are computed infinitesimally, as ranks of exact integer systems
-built on coefficient vectors (index k holds X^(d-k) Y^k; a biform's index is
-k1*(b+1) + k2, one map per factor): X d/dY sends k to k-1 with weight k,
-Y d/dX sends k to k+1 with weight d-k, and H is the diagonal d-2k.  Finite
-stabilizer components are checked by explicit candidate elements.
+lie_act, lie_act_binary and the stabilizers use index maps on integer
+coefficient vectors (index k holds X^(d-k) Y^k; a biform's index is
+k1*(b+1) + k2, one map per factor): E sends k to k-1 with weight k, F sends
+k to k+1 with weight d-k, and H is the diagonal d-2k.  Stabilizers are
+computed infinitesimally, as ranks of exact integer systems built from these
+maps.  Finite stabilizer components are checked by explicit candidate
+elements.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from math import comb, lcm
 
 from .forms import BiForm, BinaryForm, TernaryForm
 from .linalg import QMat, Subspace, _bareiss, _integer_row, det
-from .poly import MPoly
+from .poly import MPoly, RING_XYZ
 
 
 def _mat2(entries):
@@ -136,20 +139,6 @@ SL2_F = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))  # Y d/dX
 SL2_H = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
 
 
-def _images(f, mats):
-    """Images of f's variables under v -> v . m, one matrix m per variable group:
-    the j-th variable of a group goes to sum_i m[i][j] * (its i-th variable)."""
-    if tuple(map(len, mats)) != f.groups:
-        raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
-    n = len(f.ring)
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    images = []
-    for m in mats:
-        group, units = units[:len(m)], units[len(m):]
-        images += [MPoly(f.ring, {u: row[j] for u, row in zip(group, m)}) for j in range(len(m))]
-    return images
-
-
 def _integer_matrix(m):
     """(G, s): a 2x2 rational matrix times the lcm s of its denominators."""
     s = lcm(*(x.denominator for row in m for x in row))
@@ -177,38 +166,33 @@ def _power_column(G, d, k):
 def _act(f, mats):
     """Substitution action of one 2x2 matrix per variable group, on integers.
 
-    With G = s*g and f's coefficients cleared to integers over den, each
-    group is transformed in turn: a term's Y-exponent k in that group spreads
-    over the integer column of X^(d-k) Y^k, built once per call for each k
-    that occurs.  The result is one Fraction(v, den * prod s^d) per term.
+    With G = s*g, the form's integer vector is transformed one group at a
+    time: an index whose Y-exponent in that group is k (k = i // step %
+    (d + 1)) spreads over the integer column of X^(d-k) Y^k, built once per
+    call for each k that occurs, and the denominator gains s^d.
     """
     if tuple(map(len, mats)) != f.groups:
         raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
-    grading = f._grading(f._degree)
-    terms = f.poly.terms
-    den = lcm(*(c.denominator for c in terms.values()))
-    # key: the Y-exponent of each group (its X-exponent is the group degree minus it)
-    work = {e[1::2]: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    for group, (m, d) in enumerate(zip(mats, grading)):
+    vec, den = f._num, f._den
+    step = len(vec)
+    for m, d in zip(mats, f._grading(f._degree)):
         G, s = _integer_matrix(m)
         den *= s ** d
-        columns = {}
-        out = {}
-        for key, n in work.items():
-            k = key[group]
-            column = columns.get(k)
-            if column is None:
-                column = columns[k] = _power_column(G, d, k)
-            for j, x in enumerate(column):
-                if x:
-                    new = key[:group] + (j,) + key[group + 1:]
-                    out[new] = out.get(new, 0) + n * x
-        work = out
-    image = {}
-    for key, v in work.items():
-        if v:
-            image[tuple(e for d, k in zip(grading, key) for e in (d - k, k))] = Fraction(v, den)
-    return f._replace(MPoly._trusted(f.ring, image))
+        step //= d + 1
+        columns = [None] * (d + 1)
+        out = [0] * len(vec)
+        for i, n in enumerate(vec):
+            if n:
+                k = i // step % (d + 1)
+                column = columns[k]
+                if column is None:
+                    column = columns[k] = _power_column(G, d, k)
+                base = i - k * step
+                for j, x in enumerate(column):
+                    if x:
+                        out[base + j * step] += n * x
+        vec = out
+    return f._make(f._degree, vec, den)
 
 
 def act(g: GroupPair, f: BiForm) -> BiForm:
@@ -222,19 +206,36 @@ def act_binary(g, f: BinaryForm) -> BinaryForm:
 
 
 def act_ternary(g: G3Element, f: TernaryForm) -> TernaryForm:
-    """Substitution action (X,Y,Z) -> (X,Y,Z).g on a ternary form."""
-    return f._replace(f.poly.substitute(_images(f, (g.mat,))))
+    """Substitution action (X,Y,Z) -> (X,Y,Z).g on a ternary form: the j-th
+    variable goes to sum_i g[i][j] * (the i-th variable)."""
+    if f.groups != (3,):
+        raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    images = [MPoly(RING_XYZ, {u: row[j] for u, row in zip(units, g.mat)}) for j in range(3)]
+    return TernaryForm(f.degree, f.poly.substitute(images))
 
 
-def _derivation(f, mats):
-    """sum_v image(v) * dF/dv: the derivative at the identity of the substitution."""
-    terms = (image * f.poly.diff(v) for v, image in zip(f.ring, _images(f, mats)))
-    return f._replace(sum(terms, MPoly.zero(f.ring)))
+def _lie(f, mats):
+    """x00*H + x01*E + x10*F of each group's _sl2_images, for one traceless
+    2x2 x per variable group (E = X d/dY, F = Y d/dX, H = X d/dX - Y d/dY)."""
+    if tuple(map(len, mats)) != f.groups:
+        raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
+    vec = f._num
+    total, scale, step = [0] * len(vec), 1, len(vec)
+    for m, d in zip(mats, f._grading(f._degree)):
+        X, s = _integer_matrix(m)
+        step //= d + 1
+        e, fy, h = _sl2_images(vec, d, step)
+        # total / scale + (this group's image) / s, over scale * s
+        total = [s * t + scale * (X[0][1] * a + X[1][0] * b + X[0][0] * c)
+                 for t, a, b, c in zip(total, e, fy, h)]
+        scale *= s
+    return f._make(f._degree, total, f._den * scale)
 
 
 def lie_act(x: LiePair, f: BiForm) -> BiForm:
     """Derivation action of sl2 x sl2: the derivative of act at the identity."""
-    return _derivation(f, (x.x1, x.x2))
+    return _lie(f, (x.x1, x.x2))
 
 
 def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
@@ -242,7 +243,7 @@ def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
     x = _mat2(x)
     if x[0][0] + x[1][1] != 0:
         raise ValueError("non-traceless input")
-    return _derivation(f, (x,))
+    return _lie(f, (x,))
 
 
 def matrix_of_binary_action(g, b: int) -> QMat:
@@ -270,7 +271,7 @@ def projective_stabilizer_dim(f: BiForm) -> int:
     if f.is_zero():
         raise ValueError("zero form")
     a, b = f.bidegree
-    vec, _ = _integer_row(f.coeff_vector())
+    vec = f._num
     rows = [*_sl2_images(vec, a, b + 1), *_sl2_images(vec, b, 1), [-c for c in vec]]
     return 7 - len(_bareiss(rows)[0])
 
@@ -329,7 +330,7 @@ def weight_of(f: BiForm, torus_exponents, twist: int):
         raise ValueError("four torus exponents required")
     weights = {
         twist + sum(w * e for w, e in zip(torus_exponents, exps))
-        for exps in f.poly.terms
+        for exps, n in zip(f._exponents(), f._num) if n
     }
     if len(weights) != 1:
         return None

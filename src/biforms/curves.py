@@ -11,13 +11,14 @@ Resultants are taken on full bihomogeneous Sylvester matrices, so roots at
 infinity need no special-casing.  Polynomial-coefficient resultants (branch
 forms) are computed by exact interpolation: the Sylvester determinant is
 homogeneous of known degree, so it is pinned down by integer evaluations.
-The branch route builds no polynomials and no Fractions until its output:
-the second-pair partials, times the lcm s of F's denominators, are integer
-arrays evaluated by Horner at t = 0..2a(b-1), and each Sylvester determinant
-is an integer Bareiss pass.  These samples are the values of an integer
+The branch route builds no polynomials and no Fractions: the second-pair
+partials of F's integer numerators (F's denominator is s) are integer arrays
+evaluated by Horner at t = 0..2a(b-1), and each Sylvester determinant is an
+integer Bareiss pass.  These samples are the values of an integer
 polynomial in t, so its Newton divided differences are exact integer
-divisions; the Newton form is expanded on integers and each coefficient is
-divided by s^(2(b-1)) once.
+divisions; the Newton form is expanded on integers and stored over the one
+denominator s^(2(b-1)).  The components, the span and the image subspace
+are slices and reshapes of F's integer vector.
 
 singular_system computes linear systems of plane curves singular at
 prescribed exact points.
@@ -28,9 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .forms import BiForm, BinaryForm, binary_basis, ternary_basis
-from .linalg import QMat, Subspace, _int_det, _integer_row, column_space, det, kernel_basis, rank
-from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
+from .forms import BiForm, BinaryForm, _common, ternary_basis
+from .linalg import QMat, Subspace, _int_det, _integer_row, column_space, kernel_basis, rank
+from .poly import MPoly, RING_XYZ
 
 
 class CurveMap:
@@ -61,47 +62,33 @@ def phi_components(f: BiForm) -> CurveMap:
     if f.is_zero():
         raise ValueError("zero form")
     a, b = f.bidegree
-    comps = []
-    for j in range(b + 1):
-        terms = {}
-        for (e1, f1, e2, f2), c in f.poly.terms.items():
-            if e2 == j:
-                terms[(e1, f1)] = c
-        comps.append(BinaryForm(a, MPoly(RING_XY, terms)))
-    return CurveMap(a, comps)
+    # X1^(a-i) Y1^i X2^j Y2^(b-j) sits at index i*(b+1) + b - j
+    return CurveMap(a, [BinaryForm._make(a, f._num[b - j::b + 1], f._den) for j in range(b + 1)])
 
 
 def reassemble(cm: CurveMap) -> BiForm:
     """Inverse of phi_components."""
     a, b = cm.source_degree, cm.target_degree
-    terms = {}
-    for j, c in enumerate(cm.components):
-        for (e1, f1), v in c.poly.terms.items():
-            terms[(e1, f1, j, b - j)] = v
-    return BiForm((a, b), MPoly(RING_BI, terms))
+    den, nums = _common(cm.components)
+    vec = [0] * ((a + 1) * (b + 1))
+    for j, num in enumerate(nums):
+        vec[b - j::b + 1] = num
+    return BiForm._make((a, b), vec, den)
 
 
 def span_dim(cm: CurveMap) -> int:
     """Projective dimension of the linear span of the image; at most min(a,b)."""
-    a = cm.source_degree
-    rows = [[c.poly.coefficient(e) for c in cm.components] for e in binary_basis(a)]
-    return rank(QMat(rows)) - 1
+    # column j is c_j's vector; scaling a column keeps the rank
+    return rank(QMat(list(zip(*(c._num for c in cm.components))))) - 1
 
 
 def image_subspace(f: BiForm) -> Subspace:
     """Column space in V_b of the linear map induced by F (dim = span_dim + 1)."""
     if f.is_zero():
         raise ValueError("zero form")
-    a, b = f.bidegree
-    # N[k][i] = coefficient of the k-th V_b monomial in the i-th (X1,Y1) slot
-    entries = [[Fraction(0)] * (a + 1) for _ in range(b + 1)]
-    first = binary_basis(a)
-    second = binary_basis(b)
-    index1 = {e: i for i, e in enumerate(first)}
-    index2 = {e: k for k, e in enumerate(second)}
-    for (e1, f1, e2, f2), c in f.poly.terms.items():
-        entries[index2[(e2, f2)]][index1[(e1, f1)]] = c
-    return column_space(QMat(entries))
+    b = f.bidegree[1]
+    # row k, column i: F's coefficient at X1^(a-i) Y1^i X2^(b-k) Y2^k (times den)
+    return column_space(QMat([f._num[k::b + 1] for k in range(b + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +99,16 @@ def _strip_xy(f: BinaryForm):
     """Factor f = X^mx * Y^my * core with core coprime to X and Y."""
     if f.is_zero():
         raise ValueError("zero form")
-    mx = min(e[0] for e in f.poly.terms)
-    my = min(e[1] for e in f.poly.terms)
-    terms = {(e[0] - mx, e[1] - my): c for e, c in f.poly.terms.items()}
-    return mx, my, BinaryForm(f.degree - mx - my, MPoly(RING_XY, terms))
+    # index k holds X^(d-k) Y^k
+    nonzero = [k for k, c in enumerate(f._num) if c]
+    my, top = nonzero[0], nonzero[-1]
+    mx = f.degree - top
+    return mx, my, BinaryForm._make(top - my, f._num[my:top + 1], f._den)
 
 
 def _to_univariate(f: BinaryForm):
     """Coefficient list u with f(X, 1) = sum u[k] X^k (length = degree + 1)."""
-    u = [Fraction(0)] * (f.degree + 1)
-    for (i, _), c in f.poly.terms.items():
-        u[i] = c
-    return u
+    return [Fraction(c, f._den) for c in reversed(f._num)]
 
 
 def _univ_gcd(u, v):
@@ -162,15 +147,17 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     fx, fy, fc = _strip_xy(f)
     gx, gy, gc = _strip_xy(g)
     core = _univ_gcd(_to_univariate(fc), _to_univariate(gc))
-    e = len(core) - 1
     mx, my = min(fx, gx), min(fy, gy)
-    terms = {(mx + k, my + e - k): c for k, c in enumerate(core) if c}
-    return BinaryForm(mx + my + e, MPoly(RING_XY, terms))
+    # X^(mx+k) Y^(my+e-k) sits at index my + e - k of degree mx + my + e
+    vec = [0] * my + core[::-1] + [0] * mx
+    return BinaryForm._make(len(vec) - 1, *_integer_row(vec))
 
 
 def _monic(f: BinaryForm) -> BinaryForm:
-    lead = f.poly.items_sorted()[0][1]
-    return f._replace(f.poly.scale(1 / lead))
+    """f over its leading coefficient (the first nonzero one in basis order)."""
+    lead = next(c for c in f._num if c)
+    sign = 1 if lead > 0 else -1
+    return f._make(f.degree, [sign * c for c in f._num], abs(lead))
 
 
 def gcd_all(forms) -> BinaryForm:
@@ -219,10 +206,10 @@ def sylvester_resultant(p: BinaryForm, q: BinaryForm) -> Fraction:
     d, e = p.degree, q.degree
     if d < 1 or e < 1:
         raise ValueError("degenerate degrees for resultant")
-    # descending coefficient lists: p = sum p_i X^(d-i) Y^i
-    pc = [p.poly.coefficient((d - i, i)) for i in range(d + 1)]
-    qc = [q.poly.coefficient((e - i, i)) for i in range(e + 1)]
-    return det(QMat(_sylvester_rows(pc, qc)))
+    # p's vector is its descending coefficient list, p_i at X^(d-i) Y^i; its
+    # e rows and q's d rows carry the denominators out of the determinant
+    rows = _sylvester_rows(list(p._num), list(q._num))
+    return Fraction(_int_det(rows), p._den ** e * q._den ** d)
 
 
 def _interpolate(points):
@@ -267,7 +254,7 @@ def branch_form(f: BiForm) -> BinaryForm:
         raise ValueError("bidegree components must be >= 1")
     target = 2 * a * (b - 1)
     n = b - 1
-    vec, s = _integer_row(f.coeff_vector())
+    vec, s = f._num, f._den
     # col[k]: the (X1,Y1)-form at X2^(b-k) Y2^k, X1-power descending; u[k] and
     # v[k] are the forms at X2^(n-k) Y2^k in s*dF/dX2 and s*dF/dY2
     col = [vec[k::b + 1] for k in range(b + 1)]
@@ -276,7 +263,7 @@ def branch_form(f: BiForm) -> BinaryForm:
     if not any(map(any, u)) or not any(map(any, v)):
         return BinaryForm.zero(target)
     if n == 0:
-        return BinaryForm(0, MPoly.constant(RING_XY, 1))
+        return BinaryForm._make(0, (1,), 1)
     # Sylvester determinant has entries homogeneous of degree a, size 2n,
     # so it is homogeneous of degree 2an = target (or identically zero);
     # interpolate its dehomogenization from target+1 integer evaluations.
@@ -285,10 +272,8 @@ def branch_form(f: BiForm) -> BinaryForm:
         uc = [_horner(w, t) for w in u]
         vc = [_horner(w, t) for w in v]
         samples.append((t, _int_det(_sylvester_rows(uc, vc))))
-    scale = s ** (2 * n)
-    terms = {(i, target - i): Fraction(c, scale)
-             for i, c in enumerate(_interpolate(samples)) if c}
-    return BinaryForm(target, MPoly._trusted(RING_XY, terms))
+    # ascending powers of X1 are the basis order reversed
+    return BinaryForm._make(target, _interpolate(samples)[::-1], s ** (2 * n))
 
 
 def _horner(coeffs, t):
@@ -308,13 +293,11 @@ def hyperplane_degree(cm: CurveMap, seed) -> int | None:
     """
     rng = Random(f"hyperplane:{seed}")
     lam = [rng.randint(-9, 9) for _ in cm.components]
-    h = BinaryForm.zero(cm.source_degree)
-    for L, c in zip(lam, cm.components):
-        h = h + L * c
-    if h.is_zero():
+    _, nums = _common(cm.components)
+    if not any(sum(L * num[k] for L, num in zip(lam, nums))
+               for k in range(cm.source_degree + 1)):
         return None
-    g = gcd_all(cm.components)
-    return h.degree - g.degree
+    return cm.source_degree - gcd_all(cm.components).degree
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,25 @@
 """Homogeneous forms: BinaryForm, BiForm, TernaryForm.
 
-One type, `_Form`, wraps an MPoly with its degree and rejects input that is
-not homogeneous of that degree in each group of variables.  The three public
-classes only declare their ring and its variable groups: a binary form lives
-on (X, Y), one group of two; a biform on (X1, Y1 | X2, Y2), two groups of
-two, with the bidegree as its degree; a ternary form on (X, Y, Z), one group
-of three.  The zero form is allowed and keeps its nominal degree, so
-dimension bookkeeping stays well defined.
+One type, `_Form`, stores a polynomial of fixed degree in each group of
+variables as integer numerators over one common denominator (the layout of
+FLINT's fmpq_poly): `_num`, a tuple of ints in the canonical basis order, and
+`_den`, a positive int.  The pair is canonical, gcd(den, *num) = 1 and the
+zero form has den = 1, so equality and hashing are tuple operations; `_make`
+is the one private constructor, and it reduces the pair.  The integer
+kernels of the package read and write this storage directly, and forms
+print straight from it.  Only parsing needs an MPoly: the public constructor
+checks one term by term, and `poly` builds the equal MPoly on each access.
+
+The three public classes only declare their ring and its variable groups: a
+binary form lives on (X, Y), one group of two; a biform on (X1, Y1 | X2, Y2),
+two groups of two, with the bidegree as its degree; a ternary form on
+(X, Y, Z), one group of three.  The zero form is allowed and keeps its
+nominal degree, so dimension bookkeeping stays well defined.
 
 Every monomial basis is the same function of the grading, in descending
-lexicographic order on exponent tuples (X^d first for binary forms,
-X1-heavy terms first for biforms); coefficient vectors and matrices
-throughout the package use this ordering.
+lexicographic order on exponent tuples, which is also the printing order:
+index k of a binary form holds X^(d-k) Y^k, and index i*(b+1) + k of a
+bidegree-(a,b) biform holds X1^(a-i) Y1^i X2^(b-k) Y2^k.
 
 Binomial-scaled coordinates: a degree-d binary form can be written
 f = sum_i C(d,i) * alpha_i * X^i * Y^(d-i); binomial_coeffs / from_binomial_coeffs
@@ -23,10 +31,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm, perm
 
+from .linalg import _integer_row
+from .parsing import format_terms, parse_form
 from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
-from .parsing import parse_form
 
 
 def _monomials(n, d):
@@ -39,11 +48,12 @@ def _monomials(n, d):
 @lru_cache(maxsize=256)
 def _basis(groups, grading):
     """Monomials of degree grading[k] in the k-th group of groups[k]
-    consecutive variables, in descending lexicographic order."""
+    consecutive variables, in descending lexicographic order, each mapped
+    to its index (read-only: the dict is shared)."""
     out = [()]
     for n, d in zip(groups, grading):
         out = [e + m for e in out for m in _monomials(n, d)]
-    return tuple(out)
+    return {e: i for i, e in enumerate(out)}
 
 
 def binary_basis(d):
@@ -61,6 +71,12 @@ def ternary_basis(d):
     return list(_basis(TernaryForm.groups, (d,)))
 
 
+def _common(forms):
+    """(den, numerators): the forms' integer vectors over their least common denominator."""
+    den = lcm(*(f._den for f in forms))
+    return den, [[x * (den // f._den) for x in f._num] for f in forms]
+
+
 class _Form:
     """A polynomial over `ring` of fixed degree in each group of variables.
 
@@ -71,20 +87,24 @@ class _Form:
     also binds under its public name.
     """
 
-    __slots__ = ("_degree", "poly")
+    __slots__ = ("_degree", "_num", "_den")
 
     def __init__(self, degree, poly):
         if poly.ring != self.ring:
             raise ValueError(f"{type(self).__name__} requires ring {self.ring}")
+        index = _basis(self.groups, self._grading(degree))
         terms = poly.terms
-        grade = self.grade
-        for exps in terms:
-            if grade(exps) != degree:
+        num = [0] * len(index)
+        ints, den = _integer_row(list(terms.values()))
+        for exps, n in zip(terms, ints):
+            i = index.get(exps)
+            if i is None:
                 raise ValueError(f"term {exps} is not of degree {degree}")
-        if not terms:  # no term's grade has vouched for the degree
-            self._grading(degree)
+            num[i] = n
+        # reduced Fractions over their lcm share no factor with it: canonical
         self._degree = degree
-        self.poly = poly
+        self._num = tuple(num)
+        self._den = den
 
     @classmethod
     def _grading(cls, degree):
@@ -96,18 +116,32 @@ class _Form:
                              f"not {degree!r}")
         return grading
 
-    def _replace(self, poly):
-        """This form's type and degree around `poly`, which must have them: the
-        sum, difference, scaling, linear substitution within each variable
-        group, or derivation of such forms' polynomials."""
-        new = object.__new__(type(self))
-        new._degree = self._degree
-        new.poly = poly
+    @classmethod
+    def _make(cls, degree, num, den):
+        """The form num / den of this type and degree: num holds integer
+        numerators in basis order (its length is not checked) and den > 0
+        their common denominator.  The pair is reduced to the canonical one."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        new = object.__new__(cls)
+        new._degree = degree
+        new._num = tuple(num)
+        new._den = den
         return new
+
+    def _exponents(self):
+        return _basis(self.groups, self._grading(self._degree))
+
+    def _terms(self):
+        """(exponents, Fraction) of the nonzero terms, in canonical order."""
+        den = self._den
+        return [(e, Fraction(n, den)) for e, n in zip(self._exponents(), self._num) if n]
 
     @classmethod
     def zero(cls, degree):
-        return cls(degree, MPoly.zero(cls.ring))
+        return cls._make(degree, (0,) * len(_basis(cls.groups, cls._grading(degree))), 1)
 
     @classmethod
     def from_poly(cls, poly, degree=None, *, bidegree=None):
@@ -126,50 +160,56 @@ class _Form:
     def parse(cls, text, degree=None, *, bidegree=None):
         return cls.from_poly(parse_form(text, cls.ring), degree, bidegree=bidegree)
 
+    @property
+    def poly(self):
+        """The equal MPoly, built on each access."""
+        return MPoly._trusted(self.ring, dict(self._terms()))
+
     def coeff_vector(self):
-        """Coefficients in the canonical basis."""
-        return tuple(map(self.poly.coefficient, _basis(self.groups, self._grading(self._degree))))
+        """Coefficients in the canonical basis, as Fractions."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._num)
 
     def _from_coeff_vector(cls, degree, vec):
-        basis = _basis(cls.groups, cls._grading(degree))
-        if len(vec) != len(basis):
+        if len(vec) != len(_basis(cls.groups, cls._grading(degree))):
             raise ValueError("coefficient vector has wrong length")
-        return cls(degree, MPoly(cls.ring, {e: Fraction(c) for e, c in zip(basis, vec) if c}))
+        return cls._make(degree, *_integer_row(
+            [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in vec]))
+
+    def _sum(self, other, sign, verb):
+        if type(other) is not type(self) or other._degree != self._degree:
+            raise ValueError(f"can only {verb} forms of identical degree")
+        den, (u, v) = _common((self, other))
+        return self._make(self._degree, [x + sign * y for x, y in zip(u, v)], den)
 
     def __add__(self, other):
-        if type(other) is not type(self) or other._degree != self._degree:
-            raise ValueError("can only add forms of identical degree")
-        return self._replace(self.poly + other.poly)
+        return self._sum(other, 1, "add")
 
     def __sub__(self, other):
-        if type(other) is not type(self) or other._degree != self._degree:
-            raise ValueError("can only subtract forms of identical degree")
-        return self._replace(self.poly - other.poly)
+        return self._sum(other, -1, "subtract")
 
     def __rmul__(self, c):
-        return self._replace(self.poly.scale(c))
+        n, d = Fraction(c).as_integer_ratio()
+        return self._make(self._degree, [n * x for x in self._num], d * self._den)
 
     def __neg__(self):
-        return self._replace(-self.poly)
+        return self._make(self._degree, [-x for x in self._num], self._den)
 
     def is_zero(self):
-        return self.poly.is_zero()
+        return not any(self._num)
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self._degree == other._degree
-            and self.poly == other.poly
-        )
+        return (type(other) is type(self) and self._degree == other._degree
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((type(self).__name__, self._degree, self.poly))
+        return hash((type(self).__name__, self._degree, self._den, self._num))
 
     def __str__(self):
-        return str(self.poly)
+        return format_terms(self.ring, self._terms())
 
     def __repr__(self):
-        return f"{type(self).__name__}({self._degree}, {self.poly})"
+        return f"{type(self).__name__}({self._degree}, {self})"
 
 
 # Each class binds coeff_vector and from_coeff_vector in its own body, because
@@ -186,11 +226,22 @@ class BinaryForm(_Form):
     coeff_vector = _Form.coeff_vector
     from_coeff_vector = classmethod(_Form._from_coeff_vector)
 
+    def _diff(self, order, powers, start):
+        """Scale index k by perm(powers[k], order) and keep the degree d - order
+        slice from `start` (the zero form of degree 0 when order > d)."""
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        e = self.degree - order
+        if e < 0:
+            return BinaryForm.zero(0)
+        scaled = [perm(p, order) * c for p, c in zip(powers, self._num)]
+        return BinaryForm._make(e, scaled[start:start + e + 1], self._den)
+
     def dx(self, order=1):
-        return BinaryForm(max(self.degree - order, 0), self.poly.diff("X", order))
+        return self._diff(order, range(self.degree, -1, -1), 0)
 
     def dy(self, order=1):
-        return BinaryForm(max(self.degree - order, 0), self.poly.diff("Y", order))
+        return self._diff(order, range(self.degree + 1), order)
 
 
 class BiForm(_Form):
@@ -208,18 +259,16 @@ class BiForm(_Form):
         """Build the bidegree-(1,b) form X1*p(X2,Y2) + Y1*q(X2,Y2)."""
         if p.degree != q.degree:
             raise ValueError("p and q must share a degree")
-        x1 = MPoly.variable(RING_BI, "X1")
-        y1 = MPoly.variable(RING_BI, "Y1")
-        return cls((1, p.degree), x1 * embed_second(p).poly + y1 * embed_second(q).poly)
+        den, (u, v) = _common((p, q))
+        return cls._make((1, p.degree), u + v, den)
 
     def pq(self):
         """Split a bidegree-(1,b) form as (p, q) with F = X1*p + Y1*q."""
         a, b = self.bidegree
         if a != 1:
             raise ValueError("pq() requires bidegree (1, b)")
-        p = extract_second(BiForm((0, b), self.poly.diff("X1")))
-        q = extract_second(BiForm((0, b), self.poly.diff("Y1")))
-        return p, q
+        num, den = self._num, self._den
+        return BinaryForm._make(b, num[:b + 1], den), BinaryForm._make(b, num[b + 1:], den)
 
 
 class TernaryForm(_Form):
@@ -232,16 +281,17 @@ class TernaryForm(_Form):
     from_coeff_vector = classmethod(_Form._from_coeff_vector)
 
 
+# X1^(a-i) Y1^i sits at index i of bidegree (a, 0), and X2^(b-k) Y2^k at
+# index k of bidegree (0, b): embedding and extraction keep the vector.
+
 def embed_first(p: BinaryForm) -> BiForm:
     """View a binary form as a biform of bidegree (d, 0) in (X1, Y1)."""
-    terms = {(i, j, 0, 0): c for (i, j), c in p.poly.terms.items()}
-    return BiForm((p.degree, 0), MPoly(RING_BI, terms))
+    return BiForm._make((p.degree, 0), p._num, p._den)
 
 
 def embed_second(p: BinaryForm) -> BiForm:
     """View a binary form as a biform of bidegree (0, d) in (X2, Y2)."""
-    terms = {(0, 0, i, j): c for (i, j), c in p.poly.terms.items()}
-    return BiForm((0, p.degree), MPoly(RING_BI, terms))
+    return BiForm._make((0, p.degree), p._num, p._den)
 
 
 def extract_second(f: BiForm) -> BinaryForm:
@@ -249,8 +299,7 @@ def extract_second(f: BiForm) -> BinaryForm:
     a, b = f.bidegree
     if a != 0:
         raise ValueError("form has X1/Y1 content")
-    terms = {(e[2], e[3]): c for e, c in f.poly.terms.items()}
-    return BinaryForm(b, MPoly(RING_XY, terms))
+    return BinaryForm._make(b, f._num, f._den)
 
 
 def extract_first(f: BiForm) -> BinaryForm:
@@ -258,32 +307,24 @@ def extract_first(f: BiForm) -> BinaryForm:
     a, b = f.bidegree
     if b != 0:
         raise ValueError("form has X2/Y2 content")
-    terms = {(e[0], e[1]): c for e, c in f.poly.terms.items()}
-    return BinaryForm(a, MPoly(RING_XY, terms))
+    return BinaryForm._make(a, f._num, f._den)
 
 
 def tensor_product(p: BinaryForm, q: BinaryForm) -> BiForm:
     """The decomposable biform p(X1,Y1) * q(X2,Y2) of bidegree (deg p, deg q)."""
-    terms = {}
-    for (i, j), c in p.poly.terms.items():
-        for (k, m), d in q.poly.terms.items():
-            terms[(i, j, k, m)] = c * d
-    return BiForm((p.degree, q.degree), MPoly(RING_BI, terms))
+    return BiForm._make((p.degree, q.degree), [x * y for x in p._num for y in q._num],
+                        p._den * q._den)
 
 
 def binomial_coeffs(f: BinaryForm):
     """Binomial-scaled coordinates (alpha_0..alpha_d), alpha_i attached to X^i*Y^(d-i)."""
     d = f.degree
-    return [f.poly.coefficient((i, d - i)) / comb(d, i) for i in range(d + 1)]
+    return [Fraction(f._num[d - i], f._den * comb(d, i)) for i in range(d + 1)]
 
 
 def from_binomial_coeffs(d, alphas) -> BinaryForm:
     """Inverse of binomial_coeffs: f = sum_i C(d,i)*alpha_i*X^i*Y^(d-i)."""
     if len(alphas) != d + 1:
         raise ValueError("need d+1 coordinates")
-    terms = {}
-    for i, alpha in enumerate(alphas):
-        c = comb(d, i) * Fraction(alpha)
-        if c:
-            terms[(i, d - i)] = c
-    return BinaryForm(d, MPoly(RING_XY, terms))
+    return BinaryForm._make(d, *_integer_row([comb(d, i) * Fraction(alphas[i])
+                                              for i in range(d, -1, -1)]))

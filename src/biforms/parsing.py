@@ -175,11 +175,14 @@ def _coeff_str(c):
 
 def to_string(p: MPoly) -> str:
     """Canonical text form; parse_form(to_string(p), p.ring) == p."""
-    if p.is_zero():
-        return "0"
+    return format_terms(p.ring, p.items_sorted())
+
+
+def format_terms(ring, items) -> str:
+    """Text of (exponents, nonzero Fraction) terms listed in canonical order."""
     pieces = []
-    for k, (exps, coeff) in enumerate(p.items_sorted()):
-        mono = _monomial_str(p.ring, exps)
+    for k, (exps, coeff) in enumerate(items):
+        mono = _monomial_str(ring, exps)
         if mono and abs(coeff) == 1:
             body = mono
         elif mono:
@@ -190,4 +193,4 @@ def to_string(p: MPoly) -> str:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
             pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(pieces)
+    return "".join(pieces) or "0"

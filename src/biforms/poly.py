@@ -23,8 +23,6 @@ from fractions import Fraction
 from operator import add
 from types import MappingProxyType
 
-Rat = Fraction
-
 RING_XY = ("X", "Y")
 RING_BI = ("X1", "Y1", "X2", "Y2")
 RING_XYZ = ("X", "Y", "Z")
@@ -85,10 +83,6 @@ class MPoly:
         exps = [0] * len(ring)
         exps[ring.index(name)] = 1
         return cls(ring, {tuple(exps): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, ring, exps, coeff=1):
-        return cls(ring, {tuple(exps): Fraction(coeff)})
 
     @property
     def terms(self):

@@ -12,46 +12,36 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .actions import GroupPair, LiePair
-from .forms import BiForm, BinaryForm, binary_basis, biform_basis
+from .actions import GroupPair
+from .forms import BiForm, BinaryForm
 from .linalg import QMat, Subspace, rref
-from .poly import MPoly, RING_BI, RING_XY
 
 COEFF_RANGE = (-9, 9)
 
 
-def rand_coeff(rng: Random) -> Fraction:
-    return Fraction(rng.randint(*COEFF_RANGE))
+def _random_form(rng, cls, degree, nonzero):
+    """One integer draw per basis index, in basis order; redrawn while zero if nonzero."""
+    n = len(cls.zero(degree)._num)
+    while True:
+        f = cls._make(degree, [rng.randint(*COEFF_RANGE) for _ in range(n)], 1)
+        if not (nonzero and f.is_zero()):
+            return f
 
 
 def random_binary_form(rng: Random, d: int, nonzero=True) -> BinaryForm:
-    while True:
-        terms = {}
-        for e in binary_basis(d):
-            c = rand_coeff(rng)
-            if c:
-                terms[e] = c
-        f = BinaryForm(d, MPoly(RING_XY, terms))
-        if not (nonzero and f.is_zero()):
-            return f
+    return _random_form(rng, BinaryForm, d, nonzero)
 
 
 def random_biform(rng: Random, a: int, b: int, nonzero=True) -> BiForm:
-    while True:
-        terms = {}
-        for e in biform_basis(a, b):
-            c = rand_coeff(rng)
-            if c:
-                terms[e] = c
-        f = BiForm((a, b), MPoly(RING_BI, terms))
-        if not (nonzero and f.is_zero()):
-            return f
+    return _random_form(rng, BiForm, (a, b), nonzero)
 
 
 def random_subspace(rng: Random, ambient_dim: int, dim: int) -> Subspace:
-    """Random dim-dimensional subspace of Q^ambient_dim."""
+    """Random dim-dimensional subspace of Q^ambient_dim (0 <= dim <= ambient_dim)."""
+    if not 0 <= dim <= ambient_dim:
+        raise ValueError(f"no {dim}-dimensional subspace of Q^{ambient_dim}")
     while True:
-        rows = [[rand_coeff(rng) for _ in range(ambient_dim)] for _ in range(dim)]
+        rows = [[rng.randint(*COEFF_RANGE) for _ in range(ambient_dim)] for _ in range(dim)]
         reduced, rk, _ = rref(QMat(rows))
         if rk == dim:
             return Subspace(ambient_dim, QMat(reduced.entries[:rk]))
@@ -76,23 +66,3 @@ def random_sl2(rng: Random, spread: int = 3):
 
 def random_sl_pair(rng: Random) -> GroupPair:
     return GroupPair(random_sl2(rng), random_sl2(rng))
-
-
-def random_invertible2(rng: Random):
-    while True:
-        m = ((rand_coeff(rng), rand_coeff(rng)), (rand_coeff(rng), rand_coeff(rng)))
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
-            return m
-
-
-def random_group_pair(rng: Random) -> GroupPair:
-    return GroupPair(random_invertible2(rng), random_invertible2(rng))
-
-
-def random_traceless(rng: Random):
-    a = rand_coeff(rng)
-    return ((a, rand_coeff(rng)), (rand_coeff(rng), -a))
-
-
-def random_lie_pair(rng: Random) -> LiePair:
-    return LiePair(random_traceless(rng), random_traceless(rng))

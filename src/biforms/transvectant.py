@@ -30,9 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .forms import BiForm, BinaryForm, biform_basis, embed_first, embed_second, extract_first
-from .linalg import QMat, _integer_row
-from .poly import MPoly, RING_BI, RING_XY
+from .forms import BiForm, BinaryForm, embed_first, embed_second, extract_first
+from .linalg import QMat
+from .poly import MPoly, RING_XY
 
 
 def transvectant(p: BinaryForm, q: BinaryForm, r: int) -> BinaryForm:
@@ -61,18 +61,18 @@ def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
 
 
 def _cayley(f: BiForm, r, s, source_bidegree, operands):
-    """T_(r,s)(f, g) for each operand g: (target bidegree, den, vectors).
+    """T_(r,s)(f, g) for each operand g: (target bidegree, vectors).
 
-    An operand is a list of (exponents, integer coefficient) terms of the
-    source bidegree; vectors[k] / den is the coefficient vector of
+    An operand is a list of (index, integer coefficient) terms in the source
+    basis; vectors[k] / f._den is the coefficient vector of
     T_(r,s)(f, operands[k]) in the canonical target basis.
 
     table[i][j] holds (-1)^(i+j) C(r,i) C(s,j) d^(r+s) f / dX1^(r-i) dY1^i
     dX2^(s-j) dY2^j.  An operand term c*X1^p Y1^q X2^u Y2^v meets it through
     d^(r+s) / dX1^i dY1^(r-i) dX2^j dY2^(s-j): c times falling factorials,
     with the Y exponents shifted by (q-r+i, v-s+j).  X1^(A-e1) Y1^e1 X2^(B-e3)
-    Y2^e3 is entry e1*(B+1) + e3 of biform_basis(A, B), so the table stores
-    that index and a shift is one addition.
+    Y2^e3 is index e1*(B+1) + e3 of bidegree (A, B), so the table stores that
+    index and a shift is one addition.
     """
     (a, b), (a2, b2) = f.bidegree, source_bidegree
     if r < 0 or r > min(a, a2):
@@ -81,9 +81,12 @@ def _cayley(f: BiForm, r, s, source_bidegree, operands):
         raise ValueError(f"second-pair order {s} out of range for ({b}, {b2})")
     target = (a + a2 - 2 * r, b + b2 - 2 * s)
     width = target[1] + 1
-    coeffs, den = _integer_row(list(f.poly.terms.values()))
     table = [[[] for _ in range(s + 1)] for _ in range(r + 1)]
-    for (x1, y1, x2, y2), c in zip(f.poly.terms, coeffs):
+    for index, c in enumerate(f._num):
+        if not c:
+            continue
+        y1, y2 = divmod(index, b + 1)
+        x1, x2 = a - y1, b - y2
         for i in range(r + 1):
             ci = (-1) ** i * comb(r, i) * c * perm(x1, r - i) * perm(y1, i)
             if not ci:
@@ -95,7 +98,9 @@ def _cayley(f: BiForm, r, s, source_bidegree, operands):
     vectors = []
     for terms in operands:
         out = [0] * ((target[0] + 1) * width)
-        for (p, q, u, v), c in terms:
+        for index, c in terms:
+            q, v = divmod(index, b2 + 1)
+            p, u = a2 - q, b2 - v
             for i in range(r + 1):
                 ci = c * perm(p, i) * perm(q, r - i)
                 if not ci:
@@ -109,16 +114,14 @@ def _cayley(f: BiForm, r, s, source_bidegree, operands):
                     for t, w in table[i][j]:
                         out[t + shift] += k * w
         vectors.append(out)
-    return target, den, vectors
+    return target, vectors
 
 
 def bitransvectant(f: BiForm, g: BiForm, r: int, s: int) -> BiForm:
     """(r,s)-th bi-transvectant: the double Cayley sum over both pairs."""
-    coeffs, den_g = _integer_row(list(g.poly.terms.values()))
-    target, den, (vec,) = _cayley(f, r, s, g.bidegree, [list(zip(g.poly.terms, coeffs))])
-    den *= den_g
-    terms = {e: Fraction(c, den) for e, c in zip(biform_basis(*target), vec) if c}
-    return BiForm(target, MPoly(RING_BI, terms))
+    terms = [(i, c) for i, c in enumerate(g._num) if c]
+    target, (vec,) = _cayley(f, r, s, g.bidegree, [terms])
+    return BiForm._make(target, vec, f._den * g._den)
 
 
 def specialized_1s(f: BiForm, g: BiForm, s: int) -> BiForm:
@@ -147,8 +150,10 @@ def transvectant_matrix(f: BiForm, r: int, s: int, source_bidegree) -> QMat:
     the canonical basis of the target space.  f's derivative table is built
     once for all columns.
     """
-    units = [[(exps, 1)] for exps in biform_basis(*source_bidegree)]
-    _, den, columns = _cayley(f, r, s, source_bidegree, units)
+    a2, b2 = source_bidegree
+    units = [[(i, 1)] for i in range((a2 + 1) * (b2 + 1))]
+    _, columns = _cayley(f, r, s, source_bidegree, units)
+    den = f._den
     return QMat([[Fraction(x, den) for x in row] for row in zip(*columns)])
 
 

@@ -3,19 +3,22 @@
 Everything here is deliberately written against plain dicts/lists of
 Fractions, not against the package's own MPoly/QMat code paths, so a test
 comparing the two is a genuine dual-route check.  Three exceptions keep the
-polynomial routes the library used before its integer index maps: the
-stabilizer oracles (lie_act / lie_act_binary and Subspace.residual, every
-rank by the plain Gauss-Jordan oracle_rref below), the bi-transvectant
-oracles (MPoly products of both operands' full derivative tables, one
-bi-transvectant per matrix column), and the substitution action
-(MPoly.substitute on the images of the variables, one form per matrix
-column).
+polynomial routes the library used before its integer index maps: the Lie
+action and the stabilizer oracles (the MPoly derivation oracle_lie_act and
+Subspace.residual, every rank by the plain Gauss-Jordan oracle_rref below),
+the bi-transvectant oracles (MPoly products of both operands' full
+derivative tables, one bi-transvectant per matrix column), and the
+substitution action (MPoly.substitute on the images of the variables, one
+form per matrix column).
+
+The seeded random 2x2 matrices and Lie pairs at the end are the tests' own
+samplers; the package samples only forms, subspaces and SL2 pairs.
 """
 
 from fractions import Fraction
 from math import comb
 
-from biforms.actions import SL2_E, SL2_F, SL2_H, GroupPair, LiePair, lie_act, lie_act_binary
+from biforms.actions import SL2_E, SL2_F, SL2_H, GroupPair, LiePair
 from biforms.forms import BiForm, BinaryForm, biform_basis
 from biforms.linalg import QMat
 from biforms.poly import MPoly, RING_BI, RING_XY
@@ -84,11 +87,10 @@ def oracle_transvectant_matrix(f, r, s, source_bidegree):
     return QMat.from_columns(columns)
 
 
-def oracle_act(g, f):
-    """act (g a GroupPair, f a BiForm) or act_binary (g a 2x2 matrix, f a
-    BinaryForm) by MPoly.substitute: the j-th variable of each group goes to
-    sum_i g[i][j] * (the group's i-th variable)."""
-    mats = (g.g1, g.g2) if isinstance(g, GroupPair) else (g,)
+def _images(f, mats):
+    """MPoly images of a binary form's or biform's variables under v -> v . m,
+    one 2x2 m per variable pair: the j-th variable of a pair goes to
+    sum_i m[i][j] * (the pair's i-th variable)."""
     n = len(f.ring)
     images = []
     for start, m in zip(range(0, n, 2), mats):
@@ -96,8 +98,28 @@ def oracle_act(g, f):
             images.append(MPoly(f.ring, {
                 tuple(int(v == start + i) for v in range(n)): Fraction(m[i][j])
                 for i in range(2)}))
-    degree = f.bidegree if isinstance(f, BiForm) else f.degree
-    return type(f)(degree, f.poly.substitute(images))
+    return images
+
+
+def _same_type(f, poly):
+    return type(f)(f.bidegree if isinstance(f, BiForm) else f.degree, poly)
+
+
+def oracle_act(g, f):
+    """act (g a GroupPair, f a BiForm) or act_binary (g a 2x2 matrix, f a
+    BinaryForm) by MPoly.substitute on the images of the variables."""
+    mats = (g.g1, g.g2) if isinstance(g, GroupPair) else (g,)
+    return _same_type(f, f.poly.substitute(_images(f, mats)))
+
+
+def oracle_lie_act(x, f):
+    """lie_act (x a LiePair, f a BiForm) or lie_act_binary (x a traceless 2x2,
+    f a BinaryForm) as the MPoly derivation sum_v image(v) * dF/dv, the
+    derivative at the identity of the substitution action."""
+    mats = (x.x1, x.x2) if isinstance(x, LiePair) else (x,)
+    poly = f.poly
+    terms = (image * poly.diff(v) for v, image in zip(f.ring, _images(f, mats)))
+    return _same_type(f, sum(terms, MPoly.zero(f.ring)))
 
 
 def oracle_matrix_of_binary_action(g, b):
@@ -211,9 +233,9 @@ _ZERO2 = ((0, 0), (0, 0))
 
 
 def oracle_projective_stabilizer_dim(f):
-    """dim {(x, c) : lie_act(x, f) = c f} from polynomial Lie-action columns."""
-    columns = [lie_act(LiePair(x, _ZERO2), f).coeff_vector() for x in _LIE_BASIS]
-    columns += [lie_act(LiePair(_ZERO2, x), f).coeff_vector() for x in _LIE_BASIS]
+    """dim {(x, c) : lie_act(x, f) = c f} from oracle_lie_act columns."""
+    columns = [oracle_lie_act(LiePair(x, _ZERO2), f).coeff_vector() for x in _LIE_BASIS]
+    columns += [oracle_lie_act(LiePair(_ZERO2, x), f).coeff_vector() for x in _LIE_BASIS]
     columns.append(tuple(-c for c in f.coeff_vector()))
     return len(columns) - oracle_rref(list(zip(*columns)))[1]
 
@@ -224,7 +246,7 @@ def oracle_subspace_stabilizer_dim(w):
     rows = []
     for vec in w.basis.entries:
         form = BinaryForm.from_coeff_vector(b, vec)
-        residuals = [w.residual(lie_act_binary(x, form).coeff_vector()) for x in _LIE_BASIS]
+        residuals = [w.residual(oracle_lie_act(x, form).coeff_vector()) for x in _LIE_BASIS]
         rows.extend(zip(*residuals))
     return 3 - oracle_rref(rows)[1]
 
@@ -290,3 +312,28 @@ def oracle_branch_form(f):
         rows += [[0] * i + vc + [0] * (n - 1 - i) for i in range(n)]
         points.append((t, gauss_det(rows)))
     return {k: c for k, c in enumerate(interpolate_lagrange(points)) if c}
+
+
+def _coeff(rng):
+    return Fraction(rng.randint(-9, 9))
+
+
+def random_invertible2(rng):
+    """Random invertible 2x2 matrix with entries in [-9, 9], redrawn while singular."""
+    while True:
+        m = ((_coeff(rng), _coeff(rng)), (_coeff(rng), _coeff(rng)))
+        if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
+            return m
+
+
+def random_group_pair(rng):
+    return GroupPair(random_invertible2(rng), random_invertible2(rng))
+
+
+def random_traceless(rng):
+    a = _coeff(rng)
+    return ((a, _coeff(rng)), (_coeff(rng), -a))
+
+
+def random_lie_pair(rng):
+    return LiePair(random_traceless(rng), random_traceless(rng))

@@ -19,6 +19,7 @@ from biforms import (
     bitransvectant,
     det_scalar,
     lie_act,
+    lie_act_binary,
     matrix_of_binary_action,
     projective_stabilizer_dim,
     subspace_stabilizer_dim,
@@ -29,21 +30,18 @@ from biforms import (
 from biforms.actions import SL2_F, SL2_H
 from biforms.checks import FREENESS_GRID
 from biforms.poly import MPoly, RING_BI
-from biforms.sampling import (
-    random_biform,
-    random_binary_form,
-    random_group_pair,
-    random_invertible2,
-    random_lie_pair,
-    random_sl_pair,
-    random_subspace,
-)
+from biforms.sampling import random_biform, random_binary_form, random_sl_pair, random_subspace
 from helpers import (
     oracle_act,
+    oracle_lie_act,
     oracle_matrix_of_binary_action,
     oracle_projective_stabilizer_dim,
     oracle_subspace_stabilizer_dim,
     pair_text,
+    random_group_pair,
+    random_invertible2,
+    random_lie_pair,
+    random_traceless,
 )
 
 IDENT = ((1, 0), (0, 1))
@@ -291,7 +289,6 @@ def test_weight_of_examples():
 
 def test_matrix_of_binary_action():
     rng = Random("action-matrix")
-    from biforms.sampling import random_invertible2
     for b in (2, 5):
         g = random_invertible2(rng)
         a_mat = matrix_of_binary_action(g, b)
@@ -344,6 +341,34 @@ def test_act_binary_and_matrix_match_oracle():
         act(GroupPair(IDENT, IDENT), BinaryForm.zero(2))
 
 
+# zero, E, F, H and two rational traceless matrices
+ORACLE_TRACELESS = (
+    ((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (0, -1)),
+    ((Fraction(5, 2), Fraction(-1, 3)), (4, Fraction(-5, 2))),
+    ((Fraction(-2, 7), 3), (Fraction(1, 6), Fraction(2, 7))),
+)
+
+
+def test_lie_act_matches_oracle():
+    rng = Random("lie-oracle")
+    for a in range(4):
+        for b in range(7):
+            basis = BiForm.zero((a, b)).coeff_vector()
+            for f in _oracle_forms(rng, BiForm, (a, b), basis):
+                pairs = [LiePair(rng.choice(ORACLE_TRACELESS), rng.choice(ORACLE_TRACELESS)),
+                         random_lie_pair(rng)]
+                for x in pairs:
+                    assert lie_act(x, f) == oracle_lie_act(x, f)
+    for d in range(9):
+        for f in _oracle_forms(rng, BinaryForm, d, BinaryForm.zero(d).coeff_vector()):
+            for x in (*ORACLE_TRACELESS, random_traceless(rng)):
+                assert lie_act_binary(x, f) == oracle_lie_act(x, f)
+    with pytest.raises(ValueError):
+        lie_act_binary(((1, 0), (0, 1)), BinaryForm.zero(2))
+    with pytest.raises(ValueError):
+        lie_act_binary(((1, 0), (0, -1)), BiForm.zero((1, 1)))
+
+
 def test_transvectant_equivariance():
     rng = Random("equivariance")
     for _ in range(50):
@@ -371,7 +396,6 @@ def test_center_scalar_bookkeeping():
 
 def test_act_on_subspace_consistency():
     rng = Random("subspace-action")
-    from biforms.sampling import random_invertible2
     w = random_subspace(rng, 6, 3)
     g = random_invertible2(rng)
     acted = act_on_subspace(g, w)

@@ -153,6 +153,50 @@ def test_c07_fails_below_quota(monkeypatch):
     assert len(wit["grid"]["(1,4)"]["degenerate"]) == 100
 
 
+def test_c02_fails_with_wrong_tensor_product(monkeypatch):
+    # the outer product laid out with q's index outermost: the wrong basis order
+    import biforms.checks as checks_mod
+    from biforms import BiForm
+
+    def transposed(p, q):
+        vec = [x * y for y in q.coeff_vector() for x in p.coeff_vector()]
+        return BiForm.from_coeff_vector((p.degree, q.degree), vec)
+
+    monkeypatch.setattr(checks_mod, "tensor_product", transposed)
+    status, wit = checks_mod._check_c02(Random(0))
+    assert status == "fail"
+    assert wit["reason"] == "factorization"
+
+
+def test_c06_fails_with_wrong_act(monkeypatch):
+    # g2 scaled to determinant 4.  (Transposing g2 would not do: g2^T is again
+    # of determinant 1, so equivariance still holds element by element.)
+    import biforms.checks as checks_mod
+    from biforms import GroupPair
+
+    real = checks_mod.act
+
+    def doubled(g, f):
+        return real(GroupPair(g.g1, [[2 * x for x in row] for row in g.g2]), f)
+
+    monkeypatch.setattr(checks_mod, "act", doubled)
+    status, wit = checks_mod._check_c06(Random(0))
+    assert status == "fail"
+    assert wit["reason"] == "equivariance"
+
+
+def test_c10_fails_with_wrong_binary_action_matrix(monkeypatch):
+    # the signs of g dropped: the center -1 then acts as the identity
+    import biforms.checks as checks_mod
+
+    real = checks_mod.matrix_of_binary_action
+    monkeypatch.setattr(checks_mod, "matrix_of_binary_action",
+                        lambda g, b: real([[abs(x) for x in row] for row in g], b))
+    status, wit = checks_mod._check_c10(Random(0))
+    assert status == "fail"
+    assert wit["reason"] == "Pluecker scaling"
+
+
 def test_summary_counts_match():
     checks = [run_check(i, 0) for i in ("C05", "C14")]
     checks.append(CheckResult("C99", "fail", {}, 0))

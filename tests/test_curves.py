@@ -125,6 +125,10 @@ def test_sylvester_resultant_properties():
             sylvester_resultant(p1, q) * sylvester_resultant(p2, q)
         assert sylvester_resultant(q, p1) == \
             (-1) ** (d * k) * sylvester_resultant(p1, q)
+        # homogeneous of degree k in p1's coefficients and d in q's, over Q
+        c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        assert sylvester_resultant(c * p1, q) == c ** k * sylvester_resultant(p1, q)
+        assert sylvester_resultant(p1, c * q) == c ** d * sylvester_resultant(p1, q)
 
 
 def test_binary_gcd():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ from biforms import (
     binomial_coeffs,
     from_binomial_coeffs,
     parse_form,
+    to_string,
     binary_basis,
     biform_basis,
     tensor_product,
@@ -123,3 +125,77 @@ def test_form_arithmetic_guards():
     with pytest.raises(ValueError):
         BinaryForm.parse("X^2") + BinaryForm.parse("X^3")
     assert 2 * BinaryForm.parse("X^2") == BinaryForm.parse("2*X^2")
+
+
+# (class, degrees, basis function) for the storage-invariant tests
+STORAGE_CASES = [
+    (BinaryForm, [0, 1, 4, 7], binary_basis),
+    (BiForm, [(0, 0), (1, 3), (2, 2), (3, 1)], lambda d: biform_basis(*d)),
+    (TernaryForm, [0, 1, 3], ternary_basis),
+]
+
+
+def _is_canonical(f, n):
+    return (type(f._num) is tuple and len(f._num) == n and all(type(x) is int for x in f._num)
+            and type(f._den) is int and f._den > 0 and gcd(f._den, *f._num) == 1)
+
+
+def _storage_samples(rng, cls, degree, basis):
+    """The zero form, integer and rational forms, one with a common factor,
+    each through every public constructor."""
+    n = len(basis)
+    vectors = [[0] * n,
+               [rng.randint(-9, 9) for _ in basis],
+               [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in basis],
+               [Fraction(6 * rng.randint(-3, 3), 4) for _ in basis],
+               [Fraction(5, 7) * (i == n - 1) for i in range(n)]]
+    forms = [cls.zero(degree)]
+    for vec in vectors:
+        f = cls.from_coeff_vector(degree, vec)
+        poly = MPoly(cls.ring, {e: c for e, c in zip(basis, vec)})
+        forms += [f, cls(degree, poly), cls.from_poly(poly, degree), cls.parse(str(f), degree)]
+    return forms
+
+
+def test_storage_invariants():
+    rng = Random("storage")
+    for cls, degrees, basis_of in STORAGE_CASES:
+        for degree in degrees:
+            basis = basis_of(degree)
+            forms = _storage_samples(rng, cls, degree, basis)
+            derived = []
+            for f in forms:
+                g = rng.choice(forms)
+                derived += [f + g, f - g, -f, 0 * f, 3 * f, Fraction(-2, 3) * f,
+                            Fraction(1, 3) * (3 * f), (f + g) - g]
+            for f in forms + derived:
+                assert _is_canonical(f, len(basis))
+                assert f.is_zero() == (f._den == 1 and not any(f._num))
+                assert cls.from_coeff_vector(degree, f.coeff_vector()) == f
+                assert cls.from_poly(f.poly, degree) == f
+                assert str(f) == to_string(f.poly)
+                for g in rng.sample(forms + derived, 12):
+                    assert (f == g) == (f.poly == g.poly)
+                    if f == g:
+                        assert hash(f) == hash(g)
+
+
+def test_storage_of_other_constructors():
+    rng = Random("storage-more")
+    for d in range(6):
+        p = random_binary_form(rng, d)
+        q = BinaryForm.from_coeff_vector(d, [Fraction(rng.randint(-9, 9), 6) for _ in range(d + 1)])
+        alphas = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d + 1)]
+        made = [from_binomial_coeffs(d, alphas), BiForm.from_pq(p, q), tensor_product(q, p),
+                embed_first(q), embed_second(q), *BiForm.from_pq(q, p).pq(),
+                extract_first(embed_first(q)), extract_second(embed_second(q))]
+        if d:
+            made += [q.dx(), q.dy(), q.dx(d), q.dy(d + 1)]
+        for f in made:
+            assert _is_canonical(f, len(f.coeff_vector()))
+            assert type(f).from_poly(f.poly, f._degree) == f
+        assert tensor_product(q, p).poly == q.poly.substitute(
+            [MPoly.variable(RING_BI, v) for v in ("X1", "Y1")]) * p.poly.substitute(
+            [MPoly.variable(RING_BI, v) for v in ("X2", "Y2")])
+        if d:
+            assert q.dx().poly == q.poly.diff("X") and q.dy(2).poly == q.poly.diff("Y", 2)
