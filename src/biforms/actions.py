@@ -37,7 +37,7 @@ elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .forms import BiForm, BinaryForm, TernaryForm
 from .linalg import QMat, Subspace, _bareiss, _integer_row, det
@@ -53,6 +53,11 @@ def _mat2(entries):
 
 def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _mul2(a, b):
+    """The product of two 2x2 matrices, as lists."""
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
 
 
 def _invertible2(entries):
@@ -80,10 +85,7 @@ class GroupPair:
         return cls([[1, 0], [0, 1]], [[1, 0], [0, 1]])
 
     def __mul__(self, other):
-        def mul2(a, b):
-            return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
-                    for i in range(2)]
-        return GroupPair(mul2(self.g1, other.g1), mul2(self.g2, other.g2))
+        return GroupPair(_mul2(self.g1, other.g1), _mul2(self.g2, other.g2))
 
     def __repr__(self):
         return f"GroupPair({self.g1}, {self.g2})"
@@ -125,8 +127,7 @@ class LiePair:
 
     def bracket(self, other):
         def comm(a, b):
-            ab = [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
-            ba = [[sum(b[i][k] * a[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+            ab, ba = _mul2(a, b), _mul2(b, a)
             return [[ab[i][j] - ba[i][j] for j in range(2)] for i in range(2)]
         return LiePair(comm(self.x1, other.x1), comm(self.x2, other.x2))
 
@@ -139,12 +140,6 @@ SL2_F = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))  # Y d/dX
 SL2_H = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
 
 
-def _integer_matrix(m):
-    """(G, s): a 2x2 rational matrix times the lcm s of its denominators."""
-    s = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
-
-
 def _binomial_row(x, y, n):
     """Coefficients of (x X + y Y)^n, index i at X^(n-i) Y^i."""
     return [comb(n, i) * x ** (n - i) * y ** i for i in range(n + 1)]
@@ -152,9 +147,10 @@ def _binomial_row(x, y, n):
 
 def _power_column(G, d, k):
     """Coefficients of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, the image of
-    X^(d-k) Y^k, index j at X^(d-j) Y^j: two binomial rows, one convolution."""
-    p = _binomial_row(G[0][0], G[1][0], d - k)
-    q = _binomial_row(G[0][1], G[1][1], k)
+    X^(d-k) Y^k, index j at X^(d-j) Y^j: two binomial rows, one convolution.
+    G = (G00, G01, G10, G11) is an integer 2x2 matrix, row by row."""
+    p = _binomial_row(G[0], G[2], d - k)
+    q = _binomial_row(G[1], G[3], k)
     column = [0] * (d + 1)
     for i, x in enumerate(p):
         if x:
@@ -176,7 +172,7 @@ def _act(f, mats):
     vec, den = f._num, f._den
     step = len(vec)
     for m, d in zip(mats, f._grading(f._degree)):
-        G, s = _integer_matrix(m)
+        G, s = _integer_row(m[0] + m[1])
         den *= s ** d
         step //= d + 1
         columns = [None] * (d + 1)
@@ -223,11 +219,11 @@ def _lie(f, mats):
     vec = f._num
     total, scale, step = [0] * len(vec), 1, len(vec)
     for m, d in zip(mats, f._grading(f._degree)):
-        X, s = _integer_matrix(m)
+        X, s = _integer_row(m[0] + m[1])
         step //= d + 1
         e, fy, h = _sl2_images(vec, d, step)
         # total / scale + (this group's image) / s, over scale * s
-        total = [s * t + scale * (X[0][1] * a + X[1][0] * b + X[0][0] * c)
+        total = [s * t + scale * (X[1] * a + X[2] * b + X[0] * c)
                  for t, a, b, c in zip(total, e, fy, h)]
         scale *= s
     return f._make(f._degree, total, f._den * scale)
@@ -248,10 +244,10 @@ def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
 
 def matrix_of_binary_action(g, b: int) -> QMat:
     """Matrix of act_binary(g, .) on V_b in the canonical monomial basis."""
-    G, s = _integer_matrix(_invertible2(g))
-    scale = s ** b
-    return QMat.from_columns([[Fraction(x, scale) for x in _power_column(G, b, k)]
-                              for k in range(b + 1)])
+    m = _invertible2(g)
+    G, s = _integer_row(m[0] + m[1])
+    columns = [_power_column(G, b, k) for k in range(b + 1)]
+    return QMat._make(list(zip(*columns)), s ** b)
 
 
 def _sl2_images(vec, d, step):
@@ -282,9 +278,8 @@ def subspace_stabilizer_dim(w: Subspace) -> int:
     if w.dim == 0 or w.dim == w.ambient_dim:
         raise ValueError("subspace must be proper and nonzero")
     # x.W <= W iff x.w_i is killed by each annihilator n_f of the RREF basis
-    # scaled by L (f a free column): n_f[f] = L, n_f[p_i] = -L*W[i][f].
-    flat, big = _integer_row([x for row in w.basis.entries for x in row])
-    basis = [flat[i:i + b + 1] for i in range(0, len(flat), b + 1)]
+    # W = basis / L (f a free column): n_f[f] = L, n_f[p_i] = -L*W[i][f].
+    basis, big = w.basis._num, w.basis._den
     pivots = w.pivots()
     free = [j for j in range(b + 1) if j not in pivots]
     rows = [[], [], []]
@@ -301,23 +296,19 @@ def det_scalar(g: GroupPair, w: Subspace) -> Fraction:
     W is a subspace of V_b with b = ambient_dim - 1; g must map W into
     itself (checked), and the returned value is det of the restriction.
     """
-    b = w.ambient_dim - 1
-    a_mat = matrix_of_binary_action(g.g2, b)
+    # image i lies in W iff it is its pivot entries (coordinates) times the basis
+    images = w.basis * matrix_of_binary_action(g.g2, w.ambient_dim - 1).transpose()
     pivots = w.pivots()
-    rows = []
-    for vec in w.basis.entries:
-        image = a_mat.matvec(vec)
-        if not w.contains(image):
-            raise ValueError("subspace is not invariant under g")
-        rows.append([image[p] for p in pivots])
-    return det(QMat(rows))
+    coords = QMat._make([[row[p] for p in pivots] for row in images._num], images._den)
+    if coords * w.basis != images:
+        raise ValueError("subspace is not invariant under g")
+    return det(coords)
 
 
 def act_on_subspace(g, w: Subspace) -> Subspace:
     """Image of a subspace of V_b under the substitution action of g (2x2)."""
-    b = w.ambient_dim - 1
-    a_mat = matrix_of_binary_action(g, b)
-    return Subspace.from_vectors(w.ambient_dim, [a_mat.matvec(v) for v in w.basis.entries])
+    images = w.basis * matrix_of_binary_action(g, w.ambient_dim - 1).transpose()
+    return Subspace.from_vectors(w.ambient_dim, images._num)
 
 
 def weight_of(f: BiForm, torus_exponents, twist: int):

@@ -69,7 +69,7 @@ def _cmd_kernel(args):
         raise UsageError(f"bad --source {args.source!r}: expected A,B") from exc
     m = transvectant_matrix(f, args.r, args.s, (a2, b2))
     ker = kernel_basis(m)
-    basis = [str(BiForm.from_coeff_vector((a2, b2), row)) for row in ker.basis.entries]
+    basis = [str(BiForm._make((a2, b2), row, ker.basis._den)) for row in ker.basis._num]
     print(f"rank: {m.cols - ker.dim}")
     print(f"kernel dimension: {ker.dim}")
     for row in basis:

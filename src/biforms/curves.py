@@ -79,7 +79,7 @@ def reassemble(cm: CurveMap) -> BiForm:
 def span_dim(cm: CurveMap) -> int:
     """Projective dimension of the linear span of the image; at most min(a,b)."""
     # column j is c_j's vector; scaling a column keeps the rank
-    return rank(QMat(list(zip(*(c._num for c in cm.components))))) - 1
+    return rank(QMat._make(list(zip(*(c._num for c in cm.components))), 1)) - 1
 
 
 def image_subspace(f: BiForm) -> Subspace:
@@ -88,7 +88,7 @@ def image_subspace(f: BiForm) -> Subspace:
         raise ValueError("zero form")
     b = f.bidegree[1]
     # row k, column i: F's coefficient at X1^(a-i) Y1^i X2^(b-k) Y2^k (times den)
-    return column_space(QMat([f._num[k::b + 1] for k in range(b + 1)]))
+    return column_space(QMat._make([f._num[k::b + 1] for k in range(b + 1)], 1))
 
 
 # ---------------------------------------------------------------------------

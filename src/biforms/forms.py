@@ -5,8 +5,8 @@ variables as integer numerators over one common denominator (the layout of
 FLINT's fmpq_poly): `_num`, a tuple of ints in the canonical basis order, and
 `_den`, a positive int.  The pair is canonical, gcd(den, *num) = 1 and the
 zero form has den = 1, so equality and hashing are tuple operations; `_make`
-is the one private constructor, and it reduces the pair.  The integer
-kernels of the package read and write this storage directly, and forms
+is the one private constructor, reducing the pair by linalg._reduce as QMat
+does.  The integer kernels read and write this storage directly, and forms
 print straight from it.  Only parsing needs an MPoly: the public constructor
 checks one term by term, and `poly` builds the equal MPoly on each access.
 
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import comb, lcm, perm
 
-from .linalg import _integer_row
+from .linalg import _integer_row, _reduce
 from .parsing import format_terms, parse_form
 from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
 
@@ -121,14 +121,9 @@ class _Form:
         """The form num / den of this type and degree: num holds integer
         numerators in basis order (its length is not checked) and den > 0
         their common denominator.  The pair is reduced to the canonical one."""
-        g = gcd(den, *num)
-        if g != 1:
-            num = [x // g for x in num]
-            den //= g
         new = object.__new__(cls)
         new._degree = degree
-        new._num = tuple(num)
-        new._den = den
+        (new._num,), new._den = _reduce((num,), den)
         return new
 
     def _exponents(self):
@@ -173,8 +168,7 @@ class _Form:
     def _from_coeff_vector(cls, degree, vec):
         if len(vec) != len(_basis(cls.groups, cls._grading(degree))):
             raise ValueError("coefficient vector has wrong length")
-        return cls._make(degree, *_integer_row(
-            [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in vec]))
+        return cls._make(degree, *_integer_row(vec))
 
     def _sum(self, other, sign, verb):
         if type(other) is not type(self) or other._degree != self._degree:

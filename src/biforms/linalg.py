@@ -1,11 +1,16 @@
 """Exact linear algebra over Q.
 
-Matrices are small and dense (nothing here exceeds a few dozen rows), so
-QMat stores a rectangular tuple-of-tuples of Fractions.  Elimination uses a
-fraction-free Bareiss forward pass on denominator-cleared integer rows.  rref
-back-substitutes on those integer rows too, dividing each updated row by its
-gcd, and builds one Fraction per output entry (entry over its row's pivot);
-this keeps intermediate integers small at the sizes that occur here.
+Matrices are small and dense (nothing here exceeds a few dozen rows).  A QMat
+is stored like a form: `_num`, a tuple of integer row tuples (a matrix without
+rows has no columns), over `_den`, one positive common denominator, with
+gcd(den, every entry) = 1, so equality and hashing are tuple operations.
+`_make` is the one private constructor; `_reduce`, shared with the forms, is
+the one place that rule is written.  `entries` builds Fractions on each access.
+
+Every kernel reads and writes the integers.  Elimination is a fraction-free
+Bareiss forward pass; rref back-substitutes on the integer rows too, dividing
+each updated row by its gcd, and returns its rows over the lcm of the pivots.
+This keeps intermediate integers small at the sizes that occur here.
 
 A Subspace is held in canonical reduced row-echelon form: rows are the basis,
 pivots are 1 with zeros elsewhere in their columns, pivot columns strictly
@@ -16,80 +21,104 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
+
+
+def _reduce(rows, den):
+    """Integer rows over den > 0 as the canonical pair: both divided by
+    gcd(den, every entry), so a zero pair gets den 1; rows become tuples."""
+    g = den
+    for row in rows:
+        g = gcd(g, *row)
+    # tuple(list), not tuple(generator): the latter resizes, filling tuple free lists
+    if g == 1:
+        return tuple([tuple(row) for row in rows]), den
+    return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+
+
+def _integer_row(values):
+    """(integer row, scale): rationals times the lcm of their denominators."""
+    values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
+    s = lcm(*[x.denominator for x in values])
+    return [x.numerator * (s // x.denominator) for x in values], s
 
 
 class QMat:
-    """Dense rectangular matrix of Fractions."""
+    """Dense rational matrix: integer rows over one denominator."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, entries):
-        entries = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                        for row in entries)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        entries = [tuple(row) for row in entries]
+        cols = len(entries[0]) if entries else 0
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged rows")
+        flat, den = _integer_row([x for row in entries for x in row])
+        rows = [flat[i * cols:(i + 1) * cols] for i in range(len(entries))]
+        self._num, self._den = _reduce(rows, den)
+        self.rows, self.cols = len(entries), cols
+
+    @classmethod
+    def _make(cls, rows, den):
+        """rows / den (integer rows of one length, den > 0) as the canonical pair."""
+        new = object.__new__(cls)
+        new._num, new._den = _reduce(rows, den)
+        new.rows = len(new._num)
+        new.cols = len(new._num[0]) if new._num else 0
+        return new
+
+    @property
+    def entries(self):
+        """The rows as tuples of Fractions, built on each access."""
+        den = self._den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._num)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._make([[0] * cols for _ in range(rows)], 1)
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._make([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def from_columns(cls, columns):
-        if not columns:
-            return cls([])
-        n = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(n)])
+        return cls(zip(*columns))
 
     def transpose(self):
-        return QMat([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def row(self, i):
-        return self.entries[i]
+        return QMat._make(list(zip(*self._num)), self._den)
 
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def matvec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.entries)
+        nums, s = _integer_row(v)
+        den = self._den * s
+        return tuple(Fraction(sum(a * b for a, b in zip(row, nums)), den) for row in self._num)
 
     def __mul__(self, other):
         if isinstance(other, QMat):
-            if self.cols != other.rows:
+            # a matrix without rows has no known width: it is 0 x n for any n
+            if self.rows and self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            bt = other.transpose().entries
-            return QMat([[sum(r[k] * c[k] for k in range(self.cols)) for c in bt]
-                         for r in self.entries])
-        return QMat([[other * x for x in row] for row in self.entries])
+            columns = list(zip(*other._num))
+            return QMat._make([[sum(a * b for a, b in zip(row, c)) for c in columns]
+                               for row in self._num], self._den * other._den)
+        n, d = Fraction(other).as_integer_ratio()
+        return QMat._make([[n * x for x in row] for row in self._num], d * self._den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, QMat) and self.entries == other.entries
+        return isinstance(other, QMat) and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self._den, self._num))
 
     def __repr__(self):
         return f"QMat({[list(map(str, r)) for r in self.entries]})"
-
-
-def _integer_row(row):
-    """(integer row, scale): a row of Fractions times the lcm of its denominators."""
-    s = lcm(*(x.denominator for x in row))
-    return [x.numerator * (s // x.denominator) for x in row], s
 
 
 def _bareiss(work):
@@ -141,13 +170,13 @@ def _int_det(work):
 def rref(m: QMat):
     """Reduced row-echelon form: returns (QMat, rank, pivot_columns).
 
-    Forward pass is the fraction-free Bareiss pass; back-substitution stays
-    on the integer rows, each divided by its gcd after every update, and
-    each output entry is one Fraction over its row's pivot.
+    The forward pass is Bareiss on the integer rows; back-substitution
+    stays on them, each divided by its gcd after every update, and the
+    result holds row i times L / pivot_i over L, the lcm of the pivots.
     """
-    work = [_integer_row(row)[0] for row in m.entries]
+    work = [list(row) for row in m._num]
     pivots, _ = _bareiss(work)
-    rank, cols = len(pivots), m.cols
+    rank = len(pivots)
     echelon = work[:rank]
     for i in range(rank - 1, -1, -1):
         piv = pivots[i]
@@ -158,13 +187,14 @@ def rref(m: QMat):
                 row = [lead * a - factor * b for a, b in zip(echelon[k], echelon[i])]
                 g = gcd(*row)
                 echelon[k] = [x // g for x in row]
-    full = [[Fraction(x, row[p]) for x in row] for row, p in zip(echelon, pivots)]
-    full += [[Fraction(0)] * cols for _ in range(m.rows - rank)]
-    return QMat(full), rank, tuple(pivots)
+    den = lcm(*[row[p] for row, p in zip(echelon, pivots)])
+    full = [[x * (den // row[p]) for x in row] for row, p in zip(echelon, pivots)]
+    full += [[0] * m.cols for _ in range(m.rows - rank)]
+    return QMat._make(full, den), rank, tuple(pivots)
 
 
 def rank(m: QMat) -> int:
-    return len(_bareiss([_integer_row(row)[0] for row in m.entries])[0])
+    return len(_bareiss([list(row) for row in m._num])[0])
 
 
 class Subspace:
@@ -180,15 +210,12 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        """Span of the given vectors, canonicalized."""
-        vectors = [tuple(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-        if not vectors:
-            return cls(ambient_dim, QMat.zero(0, ambient_dim))
-        reduced, rk, _ = rref(QMat(vectors))
-        return cls(ambient_dim, QMat(reduced.entries[:rk]))
+        """Span of the given vectors, canonicalized (a common factor is irrelevant)."""
+        m = QMat(vectors)
+        if m.rows and m.cols != ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        reduced, rk, _ = rref(m)
+        return cls(ambient_dim, QMat._make(reduced._num[:rk], reduced._den))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -199,24 +226,23 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self):
-        out = []
-        for row in self.basis.entries:
-            out.append(next(j for j, x in enumerate(row) if x != 0))
-        return out
+        return [next(j for j, x in enumerate(row) if x) for row in self.basis._num]
 
     def residual(self, v):
-        """Component of v left after eliminating against the basis."""
-        v = [Fraction(x) for x in v]
-        if len(v) != self.ambient_dim:
+        """Component of v left after eliminating against the basis: in RREF
+        the coefficient of basis row i is v at that row's pivot."""
+        nums, s = _integer_row(v)
+        if len(nums) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        for row, p in zip(self.basis.entries, self.pivots()):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        basis = self.basis
+        out = [basis._den * x for x in nums]
+        for row, p in zip(basis._num, self.pivots()):
+            out = [a - nums[p] * b for a, b in zip(out, row)]
+        den = basis._den * s
+        return tuple(Fraction(x, den) for x in out)
 
     def contains(self, v) -> bool:
-        return all(x == 0 for x in self.residual(v))
+        return not any(self.residual(v))
 
     def __eq__(self, other):
         return (
@@ -235,28 +261,27 @@ class Subspace:
 def kernel_basis(m: QMat) -> Subspace:
     """Canonical basis of the null space {v : m v = 0} in Q^cols."""
     reduced, rk, pivots = rref(m)
-    free = [j for j in range(m.cols) if j not in pivots]
     vectors = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.entries[i][f]
-        vectors.append(v)
+    for f in range(m.cols):
+        if f not in pivots:
+            v = [0] * m.cols
+            v[f] = reduced._den
+            for row, p in zip(reduced._num, pivots):
+                v[p] = -row[f]
+            vectors.append(v)
     return Subspace.from_vectors(m.cols, vectors)
 
 
 def column_space(m: QMat) -> Subspace:
     """Canonical subspace of Q^rows spanned by the columns of m."""
-    return Subspace.from_vectors(m.rows, m.transpose().entries)
+    return Subspace.from_vectors(m.rows, zip(*m._num))
 
 
 def det(m: QMat) -> Fraction:
-    """Exact determinant (fraction-free Bareiss on integerized rows)."""
+    """Exact determinant (fraction-free Bareiss on the integer rows)."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    pairs = [_integer_row(row) for row in m.entries]
-    return Fraction(_int_det([r for r, _ in pairs]), prod(s for _, s in pairs))
+    return Fraction(_int_det([list(row) for row in m._num]), m._den ** m.rows)
 
 
 def top_minors(m: QMat):
@@ -268,8 +293,7 @@ def top_minors(m: QMat):
     """
     if m.cols > m.rows:
         raise ValueError("top_minors requires rows >= cols")
-    # each row integerized once; a minor is its integer det over the row scales
-    pairs = [_integer_row(row) for row in m.entries]
-    return tuple(Fraction(_int_det([pairs[i][0][:] for i in subset]),
-                          prod(pairs[i][1] for i in subset))
+    # each minor is an integer det over den^cols
+    rows, scale = m._num, m._den ** m.cols
+    return tuple(Fraction(_int_det([list(rows[i]) for i in subset]), scale)
                  for subset in combinations(range(m.rows), m.cols))

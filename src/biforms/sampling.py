@@ -9,12 +9,11 @@ the contracts unconditional).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
-from .actions import GroupPair
+from .actions import GroupPair, _mul2
 from .forms import BiForm, BinaryForm
-from .linalg import QMat, Subspace, rref
+from .linalg import Subspace
 
 COEFF_RANGE = (-9, 9)
 
@@ -42,26 +41,15 @@ def random_subspace(rng: Random, ambient_dim: int, dim: int) -> Subspace:
         raise ValueError(f"no {dim}-dimensional subspace of Q^{ambient_dim}")
     while True:
         rows = [[rng.randint(*COEFF_RANGE) for _ in range(ambient_dim)] for _ in range(dim)]
-        reduced, rk, _ = rref(QMat(rows))
-        if rk == dim:
-            return Subspace(ambient_dim, QMat(reduced.entries[:rk]))
+        w = Subspace.from_vectors(ambient_dim, rows)
+        if w.dim == dim:
+            return w
 
 
 def random_sl2(rng: Random, spread: int = 3):
-    """Random determinant-1 2x2 integer matrix (product of shears)."""
-    def shear_u(k):
-        return ((Fraction(1), Fraction(k)), (Fraction(0), Fraction(1)))
-    def shear_l(k):
-        return ((Fraction(1), Fraction(0)), (Fraction(k), Fraction(1)))
-    def mul2(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-    m = shear_u(rng.randint(-spread, spread))
-    m = mul2(m, shear_l(rng.randint(-spread, spread)))
-    m = mul2(m, shear_u(rng.randint(-spread, spread)))
-    return m
+    """Random determinant-1 2x2 integer matrix: upper, lower and upper shears."""
+    k1, k2, k3 = (rng.randint(-spread, spread) for _ in range(3))
+    return _mul2(_mul2(((1, k1), (0, 1)), ((1, 0), (k2, 1))), ((1, k3), (0, 1)))
 
 
 def random_sl_pair(rng: Random) -> GroupPair:

@@ -27,7 +27,6 @@ verification registry re-derives numerically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, perm
 
 from .forms import BiForm, BinaryForm, embed_first, embed_second, extract_first
@@ -153,8 +152,7 @@ def transvectant_matrix(f: BiForm, r: int, s: int, source_bidegree) -> QMat:
     a2, b2 = source_bidegree
     units = [[(i, 1)] for i in range((a2 + 1) * (b2 + 1))]
     _, columns = _cayley(f, r, s, source_bidegree, units)
-    den = f._den
-    return QMat([[Fraction(x, den) for x in row] for row in zip(*columns)])
+    return QMat._make(list(zip(*columns)), f._den)
 
 
 def cg_components(d: int, d2: int):

@@ -2,10 +2,13 @@
 
 Everything here is deliberately written against plain dicts/lists of
 Fractions, not against the package's own MPoly/QMat code paths, so a test
-comparing the two is a genuine dual-route check.  Three exceptions keep the
-polynomial routes the library used before its integer index maps: the Lie
+comparing the two is a genuine dual-route check.  The matrix oracles
+(oracle_matvec, oracle_matmul, oracle_residual, oracle_det_scalar,
+oracle_act_on_subspace) work on lists of Fraction rows, the Fraction route
+QMat and Subspace took before they stored integers.  Three exceptions keep
+the polynomial routes the library used before its integer index maps: the Lie
 action and the stabilizer oracles (the MPoly derivation oracle_lie_act and
-Subspace.residual, every rank by the plain Gauss-Jordan oracle_rref below),
+oracle_residual, every rank by the plain Gauss-Jordan oracle_rref below),
 the bi-transvectant oracles (MPoly products of both operands' full
 derivative tables, one bi-transvectant per matrix column), and the
 substitution action (MPoly.substitute on the images of the variables, one
@@ -122,11 +125,17 @@ def oracle_lie_act(x, f):
     return _same_type(f, sum(terms, MPoly.zero(f.ring)))
 
 
-def oracle_matrix_of_binary_action(g, b):
-    """Matrix of act_binary(g, .) on V_b: one oracle_act per basis monomial."""
+def oracle_action_rows(g, b):
+    """Fraction rows of the matrix of act_binary(g, .) on V_b: column k is
+    oracle_act on the k-th basis monomial."""
     columns = [oracle_act(g, BinaryForm(b, MPoly(RING_XY, {e: 1}))).coeff_vector()
                for e in oracle_binary_basis(b)]
-    return QMat.from_columns(columns)
+    return [list(row) for row in zip(*columns)]
+
+
+def oracle_matrix_of_binary_action(g, b):
+    """Matrix of act_binary(g, .) on V_b, from oracle_action_rows."""
+    return QMat(oracle_action_rows(g, b))
 
 
 def oracle_binary_basis(d):
@@ -192,6 +201,49 @@ def oracle_rref(rows):
     return m, r, pivots
 
 
+def oracle_matvec(rows, v):
+    """The matrix with the given rows times the vector v, on Fractions."""
+    return tuple(sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0))
+                 for row in rows)
+
+
+def oracle_matmul(a, b):
+    """The product of two matrices given as rows, on Fractions."""
+    columns = list(zip(*b))
+    return [list(oracle_matvec(columns, row)) for row in a]
+
+
+def oracle_residual(basis, v):
+    """v eliminated against echelon basis rows one row at a time: the
+    multiple of each row that clears v at the row's first nonzero entry."""
+    v = [Fraction(x) for x in v]
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x != 0)
+        c = v[p] / Fraction(row[p])
+        v = [a - c * Fraction(x) for a, x in zip(v, row)]
+    return tuple(v)
+
+
+def oracle_det_scalar(g, w):
+    """det of g2 restricted to W (ValueError unless g2 maps W into itself):
+    the images of W's RREF basis, their coordinates read at the pivots."""
+    basis = [list(row) for row in w.basis.entries]
+    a_mat = oracle_action_rows(g.g2, w.ambient_dim - 1)
+    images = [oracle_matvec(a_mat, v) for v in basis]
+    if any(any(oracle_residual(basis, image)) for image in images):
+        raise ValueError("subspace is not invariant under g")
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in basis]
+    return oracle_det([[image[p] for p in pivots] for image in images])
+
+
+def oracle_act_on_subspace(g, w):
+    """RREF rows (Fractions) of the span of g's images of W's basis."""
+    a_mat = oracle_action_rows(g, w.ambient_dim - 1)
+    images = [oracle_matvec(a_mat, v) for v in w.basis.entries]
+    reduced, rank, _ = oracle_rref(images)
+    return reduced[:rank]
+
+
 def oracle_det(rows):
     """Cofactor-expansion determinant (exponential; for small matrices)."""
     n = len(rows)
@@ -243,10 +295,12 @@ def oracle_projective_stabilizer_dim(f):
 def oracle_subspace_stabilizer_dim(w):
     """dim {x in sl2 : x.W <= W}: residuals of x.w against W's basis must vanish."""
     b = w.ambient_dim - 1
+    basis = [list(row) for row in w.basis.entries]
     rows = []
-    for vec in w.basis.entries:
+    for vec in basis:
         form = BinaryForm.from_coeff_vector(b, vec)
-        residuals = [w.residual(oracle_lie_act(x, form).coeff_vector()) for x in _LIE_BASIS]
+        residuals = [oracle_residual(basis, oracle_lie_act(x, form).coeff_vector())
+                     for x in _LIE_BASIS]
         rows.extend(zip(*residuals))
     return 3 - oracle_rref(rows)[1]
 

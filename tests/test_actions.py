@@ -33,6 +33,8 @@ from biforms.poly import MPoly, RING_BI
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair, random_subspace
 from helpers import (
     oracle_act,
+    oracle_act_on_subspace,
+    oracle_det_scalar,
     oracle_lie_act,
     oracle_matrix_of_binary_action,
     oracle_projective_stabilizer_dim,
@@ -274,6 +276,55 @@ def test_det_scalar_examples():
     bad = Subspace.from_vectors(6, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
     with pytest.raises(ValueError):
         det_scalar(shear, bad)
+
+
+def _invariant_pairs(rng, b):
+    """(g2, W) with W a subspace of V_b that g2 maps into itself: the centre on
+    any W, a rational torus element on monomial W, an upper shear on the span
+    of the first monomials and a lower shear on the span of the last ones."""
+    n = b + 1
+    t = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+    dim = rng.randint(1, n)
+    units = sorted(rng.sample(range(n), dim))
+    return [
+        (MINUS, random_subspace(rng, n, rng.randint(0, n))),
+        (((t, 0), (0, Fraction(rng.randint(1, 9), rng.randint(1, 9)))),
+         Subspace.from_vectors(n, [[int(j == i) for j in range(n)] for i in units])),
+        (((1, t), (0, 1)), Subspace.from_vectors(n, [[int(j == i) for j in range(n)]
+                                                     for i in range(dim)])),
+        (((1, 0), (t, -1)), Subspace.from_vectors(n, [[int(j == i) for j in range(n)]
+                                                      for i in range(n - dim, n)])),
+    ]
+
+
+def test_det_scalar_matches_oracle():
+    rng = Random("det-scalar-oracle")
+    for b in range(0, 9):
+        for g2, w in _invariant_pairs(rng, b):
+            g = GroupPair(random_invertible2(rng), g2)
+            assert det_scalar(g, w) == oracle_det_scalar(g, w)
+        w = random_subspace(rng, b + 1, rng.randint(1, b)) if b > 1 else None
+        if w is not None:
+            # a random subspace is not invariant under a random matrix
+            g = GroupPair(IDENT, random_invertible2(rng))
+            for route in (det_scalar, oracle_det_scalar):
+                with pytest.raises(ValueError):
+                    route(g, w)
+    assert det_scalar(GroupPair(IDENT, MINUS), Subspace.zero(4)) == 1
+
+
+def test_act_on_subspace_matches_oracle():
+    rng = Random("act-on-subspace-oracle")
+    for b in range(0, 9):
+        n = b + 1
+        cases = [random_subspace(rng, n, k) for k in range(n + 1)]
+        cases.append(Subspace.from_vectors(n, [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                                for _ in range(n)]]))
+        for w in cases:
+            for g in (random_invertible2(rng), ((Fraction(1, 2), 3), (0, Fraction(-2, 3)))):
+                acted = act_on_subspace(g, w)
+                assert [list(r) for r in acted.basis.entries] == oracle_act_on_subspace(g, w)
+                assert acted.ambient_dim == n and acted.dim == w.dim
 
 
 def test_weight_of_examples():

@@ -169,8 +169,7 @@ def test_c02_fails_with_wrong_tensor_product(monkeypatch):
 
 
 def test_c06_fails_with_wrong_act(monkeypatch):
-    # g2 scaled to determinant 4.  (Transposing g2 would not do: g2^T is again
-    # of determinant 1, so equivariance still holds element by element.)
+    # g2 scaled to determinant 4, which equivariance sees
     import biforms.checks as checks_mod
     from biforms import GroupPair
 
@@ -183,6 +182,23 @@ def test_c06_fails_with_wrong_act(monkeypatch):
     status, wit = checks_mod._check_c06(Random(0))
     assert status == "fail"
     assert wit["reason"] == "equivariance"
+
+
+def test_c06_fails_with_transposed_g2(monkeypatch):
+    # g2^T is again of determinant 1, so equivariance holds; the action law
+    # act(g*h, f) = act(g, act(h, f)) does not
+    import biforms.checks as checks_mod
+    from biforms import GroupPair
+
+    real = checks_mod.act
+
+    def transposed(g, f):
+        return real(GroupPair(g.g1, list(zip(*g.g2))), f)
+
+    monkeypatch.setattr(checks_mod, "act", transposed)
+    status, wit = checks_mod._check_c06(Random(0))
+    assert status == "fail"
+    assert wit["reason"] == "action law"
 
 
 def test_c10_fails_with_wrong_binary_action_matrix(monkeypatch):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from random import Random
 
 import pytest
@@ -14,7 +16,7 @@ from biforms import (
     top_minors,
 )
 
-from helpers import oracle_det, oracle_rref
+from helpers import oracle_det, oracle_matmul, oracle_matvec, oracle_residual, oracle_rref
 
 
 def rand_mat(rng, rows, cols, lo=-9, hi=9):
@@ -203,3 +205,99 @@ def test_top_minors_match_per_subset_det():
                              for subset in combinations(range(rows), cols))
             assert top_minors(m) == expected
     assert top_minors(QMat([[], []])) == (Fraction(1),)
+
+
+def rand_rational_mat(rng, rows, cols):
+    return QMat([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cols)]
+                 for _ in range(rows)])
+
+
+def assert_canonical(m):
+    """m holds integer row tuples over one den > 0, reduced, matching its entries."""
+    num, den = m._num, m._den
+    assert type(num) is tuple and all(type(row) is tuple for row in num)
+    assert all(type(x) is int for row in num for x in row)
+    assert type(den) is int and den > 0
+    assert gcd(den, *(x for row in num for x in row)) == 1
+    assert m.rows == len(num) and m.cols == (len(num[0]) if num else 0)
+    assert all(len(row) == m.cols for row in num)
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+    assert m.entries == tuple(tuple(Fraction(x, den) for x in row) for row in num)
+
+
+def test_qmat_storage_invariants():
+    rng = Random("qmat-storage")
+    half = Fraction(1, 2)
+    mats = [
+        QMat([]), QMat([[], []]), QMat.zero(0, 3), QMat.zero(3, 0), QMat.zero(2, 3),
+        QMat.identity(0), QMat.identity(3),
+        QMat([[half, -3], [Fraction(-4, 6), 0]]), QMat([[2, 4], [6, -8]]),
+        QMat([[Fraction(2, 3), Fraction(4, 3)]]), QMat([[-7]]),
+        QMat.from_columns([[1, half], [Fraction(-1, 3), 0], [4, 5]]), QMat.from_columns([]),
+        rand_mat(rng, 4, 3), rand_rational_mat(rng, 3, 5),
+    ]
+    derived = []
+    for m in mats:
+        derived += [m.transpose(), 2 * m, m * Fraction(-3, 4), 0 * m, rref(m)[0]]
+        if m.cols:
+            derived.append(m * rand_rational_mat(rng, m.cols, 2))
+        derived.append(Subspace.from_vectors(m.cols, m.entries).basis if m.rows else m)
+    derived += [QMat.identity(2) * QMat.zero(2, 3), Subspace.zero(4).basis,
+                Subspace.from_vectors(3, [[half, 0, -1], [1, 0, -2], [0, Fraction(2, 7), 0]]).basis]
+    everything = mats + derived
+    for m in everything:
+        assert_canonical(m)
+    # equality and hashing are those of the entries, whatever the route
+    same = [QMat([[1, 2], [3, 4]]) * half, QMat([[half, 1], [Fraction(3, 2), 2]]),
+            QMat.from_columns([[half, Fraction(3, 2)], [1, 2]]),
+            QMat([[2, 4], [6, 8]]) * Fraction(1, 4)]
+    for a, b in product(everything + same, repeat=2):
+        assert (a == b) == (a.entries == b.entries)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert len(set(same)) == 1
+    # a matrix without rows has no columns, however it was built
+    assert QMat.zero(0, 3) == QMat([]) and QMat.zero(0, 3).cols == 0
+    assert QMat.zero(3, 0) == QMat([[], [], []]) != QMat([])
+    assert repr(QMat([[half, -2]])) == "QMat([['1/2', '-2']])"
+    with pytest.raises(ValueError):
+        QMat([[1, 2], [3]])
+
+
+def test_matvec_and_products_match_fraction_oracle():
+    rng = Random("qmat-products")
+    for _ in range(60):
+        rows, inner, cols = rng.randint(1, 5), rng.randint(0, 5), rng.randint(1, 5)
+        make = rand_rational_mat if rng.random() < 0.6 else rand_mat
+        m, n = make(rng, rows, inner), make(rng, inner, cols)
+        entries = [list(r) for r in m.entries]
+        for v in ([rng.randint(-9, 9) for _ in range(inner)],
+                  [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(inner)]):
+            assert m.matvec(v) == oracle_matvec(entries, v)
+        assert [list(r) for r in (m * n).entries] == oracle_matmul(entries, n.entries)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        assert (c * m).entries == (m * c).entries == tuple(tuple(c * x for x in r) for r in entries)
+        with pytest.raises(ValueError):
+            m.matvec([1] * (inner + 1))
+        with pytest.raises(ValueError):
+            m * QMat.zero(inner + 1, 2)
+
+
+def test_residual_and_contains_match_fraction_oracle():
+    rng = Random("subspace-residual")
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        w = Subspace.from_vectors(n, rand_rational_mat(rng, k, n).entries if k else [])
+        basis = [list(r) for r in w.basis.entries]
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
+        inside = [sum((c * x for c, x in zip(coeffs, col)), Fraction(0))
+                  for col in zip(*basis)] if basis else [0] * n
+        outside = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        for v in (inside, outside, [0] * n, [rng.randint(-9, 9) for _ in range(n)]):
+            expected = oracle_residual(basis, v)
+            assert w.residual(v) == expected
+            assert w.contains(v) == (not any(expected))
+        assert w.contains(inside)
+        with pytest.raises(ValueError):
+            w.residual([0] * (n + 1))
