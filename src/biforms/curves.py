@@ -20,8 +20,14 @@ divisions; the Newton form is expanded on integers and stored over the one
 denominator s^(2(b-1)).  The components, the span and the image subspace
 are slices and reshapes of F's integer vector.
 
+The gcd of two binary forms, which gives the base locus for the hyperplane
+degree and the squarefree test, is read off one RREF of the same Sylvester
+rows: they span the gcd's multiples of degree d + e - 1, so the last
+reduced row is the gcd times a power of Y.
+
 singular_system computes linear systems of plane curves singular at
-prescribed exact points.
+prescribed exact points, as the kernel of the integer rows of values and
+first partials of the monomials at each point.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ from fractions import Fraction
 from random import Random
 
 from .forms import BiForm, BinaryForm, _common, ternary_basis
-from .linalg import QMat, Subspace, _int_det, _integer_row, column_space, kernel_basis, rank
-from .poly import MPoly, RING_XYZ
+from .linalg import QMat, Subspace, _int_det, _integer_row, column_space, kernel_basis, rank, rref
 
 
 class CurveMap:
@@ -95,62 +100,23 @@ def image_subspace(f: BiForm) -> Subspace:
 # binary-form gcd and squarefreeness
 # ---------------------------------------------------------------------------
 
-def _strip_xy(f: BinaryForm):
-    """Factor f = X^mx * Y^my * core with core coprime to X and Y."""
-    if f.is_zero():
-        raise ValueError("zero form")
-    # index k holds X^(d-k) Y^k
-    nonzero = [k for k, c in enumerate(f._num) if c]
-    my, top = nonzero[0], nonzero[-1]
-    mx = f.degree - top
-    return mx, my, BinaryForm._make(top - my, f._num[my:top + 1], f._den)
-
-
-def _to_univariate(f: BinaryForm):
-    """Coefficient list u with f(X, 1) = sum u[k] X^k (length = degree + 1)."""
-    return [Fraction(c, f._den) for c in reversed(f._num)]
-
-
-def _univ_gcd(u, v):
-    """Monic gcd of univariate coefficient lists (ascending powers)."""
-    def deg(w):
-        d = len(w) - 1
-        while d >= 0 and w[d] == 0:
-            d -= 1
-        return d
-    def rem(w, m):
-        w = list(w)
-        dm = deg(m)
-        lead = m[dm]
-        for k in range(deg(w), dm - 1, -1):
-            c = w[k] / lead
-            if c:
-                for i in range(dm + 1):
-                    w[k - dm + i] -= c * m[i]
-        return w[:dm] if dm > 0 else []
-    a, b = list(u), list(v)
-    while deg(b) >= 0:
-        a, b = b, rem(a, b)
-    da = deg(a)
-    if da < 0:
-        return []
-    lead = a[da]
-    return [c / lead for c in a[: da + 1]]
-
-
 def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic gcd of two binary forms (projective roots with multiplicity)."""
+    """Gcd of two binary forms (projective roots with multiplicity), scaled
+    so that its first nonzero coefficient in basis order is 1.
+
+    For nonzero f, g of degrees d, e the d + e Sylvester rows span
+    G * V_(d+e-1-k), G the gcd and k its degree, so the rank is d + e - k
+    and the last RREF row is G * Y^(rank-1) over G's first coefficient.
+    """
     if f.is_zero():
         return g if g.is_zero() else _monic(g)
     if g.is_zero():
         return _monic(f)
-    fx, fy, fc = _strip_xy(f)
-    gx, gy, gc = _strip_xy(g)
-    core = _univ_gcd(_to_univariate(fc), _to_univariate(gc))
-    mx, my = min(fx, gx), min(fy, gy)
-    # X^(mx+k) Y^(my+e-k) sits at index my + e - k of degree mx + my + e
-    vec = [0] * my + core[::-1] + [0] * mx
-    return BinaryForm._make(len(vec) - 1, *_integer_row(vec))
+    d, e = f.degree, g.degree
+    if d + e == 0:
+        return BinaryForm._make(0, (1,), 1)
+    reduced, rk, _ = rref(QMat._make(_sylvester_rows(list(f._num), list(g._num)), 1))
+    return BinaryForm._make(d + e - rk, reduced._num[rk - 1][rk - 1:], reduced._den)
 
 
 def _monic(f: BinaryForm) -> BinaryForm:
@@ -191,7 +157,7 @@ def is_squarefree(f: BinaryForm) -> bool:
 # ---------------------------------------------------------------------------
 
 def _sylvester_rows(pc, qc):
-    """Sylvester matrix of two descending coefficient lists (degrees d, e >= 1)."""
+    """Sylvester matrix of two descending coefficient lists (degrees d + e >= 1)."""
     d, e = len(pc) - 1, len(qc) - 1
     return ([[0] * i + pc + [0] * (e - 1 - i) for i in range(e)]
             + [[0] * i + qc + [0] * (d - 1 - i) for i in range(d)])
@@ -315,19 +281,22 @@ def singular_system(points, d: int) -> Subspace:
     the coefficients (the Euler relation makes one redundant); the result is
     the exact solution subspace in the canonical monomial basis.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    # a point's coordinates times one scale c: each of its rows is c^d or
+    # c^(d-1) times the old one, so its denominators can be cleared
+    pts = [_integer_row(p)[0] for p in points]
     for p in pts:
-        if all(x == 0 for x in p):
+        if not any(p):
             raise ValueError("zero vector is not a projective point")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if _projectively_equal(pts[i], pts[j]):
                 raise ValueError("points must be distinct")
     basis = ternary_basis(d)
-    monos = [MPoly(RING_XYZ, {e: Fraction(1)}) for e in basis]
-    rows = []
-    for p in pts:
-        rows.append([m.evaluate(p) for m in monos])
-        for var in RING_XYZ:
-            rows.append([m.diff(var).evaluate(p) for m in monos])
-    return kernel_basis(QMat(rows))
+    # the zero row sets the width when there are no points
+    rows = [[0] * len(basis)]
+    for x, y, z in pts:
+        rows.append([x ** i * y ** j * z ** k for i, j, k in basis])
+        rows.append([i and i * x ** (i - 1) * y ** j * z ** k for i, j, k in basis])
+        rows.append([j and j * x ** i * y ** (j - 1) * z ** k for i, j, k in basis])
+        rows.append([k and k * x ** i * y ** j * z ** (k - 1) for i, j, k in basis])
+    return kernel_basis(QMat._make(rows, 1))

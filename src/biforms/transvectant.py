@@ -20,18 +20,19 @@ monomial per column for the matrix).
 
 apolar_diffop realizes the extreme transvectant r = d' <= d by substituting
 (-d/dY, d/dX) for (X, Y) in P', applying the resulting operator to P and
-scaling by d'!.  Under the normalization above it agrees with
-transvectant(P, P', d') on the nose (ratio 1 for every (d, d')), which the
-verification registry re-derives numerically.
+scaling by d'!.  It sums the forms' own derivatives (dx, dy), not the Cayley
+kernel, so it is an independent route.  Under the normalization above it
+agrees with transvectant(P, P', d') on the nose (ratio 1 for every (d, d')),
+which the verification registry re-derives numerically.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, factorial, perm
 
 from .forms import BiForm, BinaryForm, embed_first, embed_second, extract_first
 from .linalg import QMat
-from .poly import MPoly, RING_XY
 
 
 def transvectant(p: BinaryForm, q: BinaryForm, r: int) -> BinaryForm:
@@ -47,16 +48,14 @@ def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     d, e = p.degree, q.degree
     if e > d:
         raise ValueError(f"operator degree {e} exceeds operand degree {d}")
-    total = MPoly.zero(RING_XY)
-    for (i, j), c in q.poly.terms.items():
-        # X^i Y^j  ->  (-1)^i d^(i+j) / dY^i dX^j
-        piece = p.poly
-        if j:
-            piece = piece.diff("X", j)
-        if i:
-            piece = piece.diff("Y", i)
-        total = total + piece.scale(c * (-1) ** i)
-    return BinaryForm(d - e, total.scale(factorial(e)))
+    total = BinaryForm.zero(d - e)
+    for k, c in enumerate(q._num):
+        if c:
+            # X^(e-k) Y^k  ->  (-1)^(e-k) d^e / dX^k dY^(e-k)
+            piece = p.dx(k) if k else p
+            piece = piece.dy(e - k) if e - k else piece
+            total = total + (-1) ** (e - k) * c * piece
+    return Fraction(factorial(e), q._den) * total
 
 
 def _cayley(f: BiForm, r, s, source_bidegree, operands):

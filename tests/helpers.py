@@ -5,26 +5,28 @@ Fractions, not against the package's own MPoly/QMat code paths, so a test
 comparing the two is a genuine dual-route check.  The matrix oracles
 (oracle_matvec, oracle_matmul, oracle_residual, oracle_det_scalar,
 oracle_act_on_subspace) work on lists of Fraction rows, the Fraction route
-QMat and Subspace took before they stored integers.  Three exceptions keep
-the polynomial routes the library used before its integer index maps: the Lie
-action and the stabilizer oracles (the MPoly derivation oracle_lie_act and
-oracle_residual, every rank by the plain Gauss-Jordan oracle_rref below),
-the bi-transvectant oracles (MPoly products of both operands' full
-derivative tables, one bi-transvectant per matrix column), and the
-substitution action (MPoly.substitute on the images of the variables, one
-form per matrix column).
+QMat and Subspace took before they stored integers, and oracle_binary_gcd
+is the Fraction Euclid binary_gcd ran before it reduced Sylvester rows.
+Five exceptions keep the polynomial routes the library used before its
+integer index maps: the Lie action and the stabilizer oracles (the MPoly
+derivation oracle_lie_act and oracle_residual, every rank by the plain
+Gauss-Jordan oracle_rref below), the bi-transvectant oracles (MPoly products
+of both operands' full derivative tables, one bi-transvectant per matrix
+column), the substitution action (MPoly.substitute on the images of the
+variables, one form per matrix column), the apolar operator (MPoly.diff) and
+the singular systems (MPoly.evaluate and MPoly.diff on each monomial).
 
 The seeded random 2x2 matrices and Lie pairs at the end are the tests' own
 samplers; the package samples only forms, subspaces and SL2 pairs.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from biforms.actions import SL2_E, SL2_F, SL2_H, GroupPair, LiePair
 from biforms.forms import BiForm, BinaryForm, biform_basis
-from biforms.linalg import QMat
-from biforms.poly import MPoly, RING_BI, RING_XY
+from biforms.linalg import QMat, Subspace
+from biforms.poly import MPoly, RING_BI, RING_XY, RING_XYZ
 
 
 def falling(n, k):
@@ -366,6 +368,93 @@ def oracle_branch_form(f):
         rows += [[0] * i + vc + [0] * (n - 1 - i) for i in range(n)]
         points.append((t, gauss_det(rows)))
     return {k: c for k, c in enumerate(interpolate_lagrange(points)) if c}
+
+
+def _strip_xy(vec):
+    """(mx, my, u) with the form of coefficient vector vec (X^(d-k) Y^k at
+    index k) equal to X^mx * Y^my * core, core coprime to X and Y, and u the
+    ascending coefficients of core(X, 1)."""
+    nonzero = [k for k, c in enumerate(vec) if c]
+    my, top = nonzero[0], nonzero[-1]
+    return len(vec) - 1 - top, my, list(vec[my:top + 1])[::-1]
+
+
+def _univ_gcd(u, v):
+    """Monic gcd of univariate Fraction coefficient lists (ascending powers), by Euclid."""
+    def deg(w):
+        d = len(w) - 1
+        while d >= 0 and w[d] == 0:
+            d -= 1
+        return d
+
+    def rem(w, m):
+        w = list(w)
+        dm = deg(m)
+        for k in range(deg(w), dm - 1, -1):
+            c = w[k] / m[dm]
+            if c:
+                for i in range(dm + 1):
+                    w[k - dm + i] -= c * m[i]
+        return w[:dm]
+
+    a, b = list(u), list(v)
+    while deg(b) >= 0:
+        a, b = b, rem(a, b)
+    da = deg(a)
+    return [c / a[da] for c in a[:da + 1]]
+
+
+def oracle_binary_gcd(f, g):
+    """binary_gcd by a Fraction Euclid: the powers of X and Y are split off,
+    the cores' dehomogenizations at Y = 1 go through Euclid, and the result
+    is scaled so that its first nonzero coefficient is 1."""
+    if f.is_zero() or g.is_zero():
+        h = g if f.is_zero() else f
+        vec = h.coeff_vector()
+        lead = next((c for c in vec if c), 1)
+        return BinaryForm.from_coeff_vector(h.degree, [c / lead for c in vec])
+    fx, fy, fu = _strip_xy(f.coeff_vector())
+    gx, gy, gu = _strip_xy(g.coeff_vector())
+    mx, my = min(fx, gx), min(fy, gy)
+    # X^(mx+k) Y^(my+e-k) sits at index my + e - k of degree mx + my + e
+    vec = [0] * my + _univ_gcd(fu, gu)[::-1] + [0] * mx
+    return BinaryForm.from_coeff_vector(len(vec) - 1, vec)
+
+
+def oracle_apolar_diffop(p, q):
+    """apolar_diffop on MPolys: each term c X^i Y^j of q applies
+    (-1)^i c d^(i+j) / dY^i dX^j to p by MPoly.diff; the sum is scaled by deg(q)!."""
+    total = MPoly.zero(RING_XY)
+    for (i, j), c in q.poly.terms.items():
+        piece = p.poly
+        if j:
+            piece = piece.diff("X", j)
+        if i:
+            piece = piece.diff("Y", i)
+        total = total + piece.scale(c * (-1) ** i)
+    return BinaryForm(p.degree - q.degree, total.scale(factorial(q.degree)))
+
+
+def oracle_singular_system(points, d):
+    """singular_system by MPoly.evaluate and MPoly.diff on each monomial at
+    each point, the null space read off the plain Gauss-Jordan oracle_rref."""
+    monos = [MPoly(RING_XYZ, {e: Fraction(1)}) for e in oracle_ternary_basis(d)]
+    rows = []
+    for p in points:
+        p = [Fraction(x) for x in p]
+        rows.append([m.evaluate(p) for m in monos])
+        for var in RING_XYZ:
+            rows.append([m.diff(var).evaluate(p) for m in monos])
+    reduced, _, pivots = oracle_rref(rows)
+    vectors = []
+    for free in range(len(monos)):
+        if free not in pivots:
+            v = [Fraction(0)] * len(monos)
+            v[free] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[free]
+            vectors.append(v)
+    return Subspace.from_vectors(len(monos), vectors)
 
 
 def _coeff(rng):

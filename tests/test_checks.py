@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 from random import Random
 
@@ -10,17 +12,21 @@ from biforms.checks import (
     Report,
     _check_c12,
     emit,
+    run_all,
     run_check,
 )
 
 
-GOLDEN_SEED0 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "registry_seed0.json"
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
-def test_report_matches_golden_seed0(full_report):
-    """The timing-free report is byte-identical to the recorded seed-0 golden."""
-    emitted = emit(full_report, "json", include_timing=False).encode()
-    assert emitted == GOLDEN_SEED0.read_bytes()
+@pytest.mark.parametrize("seed", [0, 29])
+def test_report_matches_golden(seed, full_report):
+    """The timing-free report is byte-identical to the recorded golden, at
+    seed 0 and at seed 29, the seed of the benchmark's paired runs."""
+    report = full_report if seed == 0 else run_all(seed)
+    emitted = emit(report, "json", include_timing=False).encode()
+    assert emitted == (GOLDEN_DIR / f"registry_seed{seed}.json").read_bytes()
 
 
 def test_unknown_check_id():
@@ -211,6 +217,60 @@ def test_c10_fails_with_wrong_binary_action_matrix(monkeypatch):
     status, wit = checks_mod._check_c10(Random(0))
     assert status == "fail"
     assert wit["reason"] == "Pluecker scaling"
+
+
+@pytest.mark.parametrize("scale", [lambda q: 2, lambda q: q.degree + 1,
+                                   lambda q: Fraction(1, factorial(q.degree))],
+                         ids=["2", "deg q + 1", "no e!"])
+def test_c04_fails_with_scaled_apolar(monkeypatch, scale):
+    # a wrong normalization keeps the ratio constant in every cell, but not 1
+    import biforms.checks as checks_mod
+
+    real = checks_mod.apolar_diffop
+    monkeypatch.setattr(checks_mod, "apolar_diffop", lambda p, q: scale(q) * real(p, q))
+    status, wit = checks_mod._check_c04(Random(0))
+    assert status == "fail"
+    assert wit["reason"] == "ratio not 1"
+
+
+def test_c08_fails_with_a_spurious_gcd_factor(monkeypatch):
+    # a constant base-locus gcd reported as X: the hyperplane degree drops to a - 1
+    import biforms.checks as checks_mod
+    import biforms.curves as curves_mod
+    from biforms import BinaryForm
+
+    real = curves_mod.gcd_all
+
+    def with_x(forms):
+        g = real(forms)
+        return BinaryForm.parse("X") if g.degree == 0 else g
+
+    monkeypatch.setattr(curves_mod, "gcd_all", with_x)
+    monkeypatch.setattr(checks_mod, "DEGREE_GRID", [(2, 3)])
+    status, wit = checks_mod._check_c08(Random(0), seed=0)
+    assert status == "fail"
+    assert wit["grid"]["(2,3)"]["ok"] == 0
+
+
+def test_c11_fails_with_a_common_factor_of_the_partials(monkeypatch):
+    import biforms.checks as checks_mod
+    from biforms import BinaryForm
+
+    monkeypatch.setattr(checks_mod, "binary_gcd", lambda f, g: BinaryForm.parse("X"))
+    status, wit = checks_mod._check_c11(Random(0))
+    assert status == "fail"
+    assert wit["partials_coprime"] is False
+
+
+def test_c13_fails_when_points_are_dropped(monkeypatch):
+    # only the first point kept: the quartic system through three points grows
+    import biforms.checks as checks_mod
+
+    real = checks_mod.singular_system
+    monkeypatch.setattr(checks_mod, "singular_system", lambda points, d: real(points[:1], d))
+    status, wit = checks_mod._check_c13(Random(0))
+    assert status == "fail"
+    assert wit["quartic_dim"] == 12
 
 
 def test_summary_counts_match():

@@ -30,7 +30,9 @@ from biforms.sampling import random_biform, random_binary_form, random_sl_pair
 from helpers import (
     dict_diff,
     dict_matches_form,
+    oracle_binary_gcd,
     oracle_branch_form,
+    oracle_singular_system,
     pair_text,
     second_pair_coeffs_desc,
 )
@@ -155,6 +157,62 @@ def test_is_squarefree():
     assert not is_squarefree(BinaryForm.parse("X^3"))
     assert is_squarefree(BinaryForm.parse("X + 5*Y"))
     assert not is_squarefree(BinaryForm.zero(2))
+
+
+def _gcd_cases(n):
+    """n pairs of binary forms sharing random factors, then fixed edge pairs:
+    repeated factors, powers of X and Y, constants, rational scalars and zero
+    forms."""
+    rng = Random("gcd-oracle")
+
+    def times(f, g):
+        return BinaryForm(f.degree + g.degree, f.poly * g.poly)
+
+    def cofactor():
+        if rng.random() < 0.1:
+            return BinaryForm.zero(rng.randint(0, 3))
+        return random_binary_form(rng, rng.randint(0, 3))
+
+    for _ in range(n):
+        common = random_binary_form(rng, rng.randint(0, 2))
+        for extra in ("X", "Y^2"):
+            if rng.random() < 0.3:
+                common = times(common, BinaryForm.parse(extra))
+        if rng.random() < 0.3:
+            common = times(common, common)
+        f, g = times(common, cofactor()), times(common, cofactor())
+        yield Fraction(rng.randint(1, 9), rng.randint(1, 9)) * f, g
+    one = BinaryForm.parse("1", degree=0)
+    yield one, Fraction(2, 3) * one
+    yield BinaryForm.zero(2), BinaryForm.zero(3)
+    yield BinaryForm.zero(2), BinaryForm.parse("-2*X*Y + 4*Y^2")
+    yield BinaryForm.parse("1/2*Y^3"), BinaryForm.zero(1)
+    yield BinaryForm.parse("X^3"), BinaryForm.parse("Y^2")
+    yield BinaryForm.parse("3", degree=0), BinaryForm.parse("X^2 + Y^2")
+
+
+def test_binary_gcd_matches_oracle():
+    for f, g in _gcd_cases(300):
+        assert binary_gcd(f, g) == oracle_binary_gcd(f, g)
+        assert binary_gcd(g, f) == oracle_binary_gcd(g, f)
+
+
+def test_binary_gcd_and_is_squarefree_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("X Y")
+
+    def to_sympy(f):
+        return sympy.sympify(str(f).replace("^", "**"), locals={"X": x, "Y": y})
+
+    for f, g in _gcd_cases(40):
+        if f.is_zero() and g.is_zero():
+            continue
+        expected = sympy.Poly(sympy.gcd(to_sympy(f), to_sympy(g)), x, y).monic()
+        assert sympy.Poly(to_sympy(binary_gcd(f, g)), x, y, domain="QQ") == expected
+        for h in (f, g):
+            if not h.is_zero():
+                _, factors = sympy.Poly(to_sympy(h), x, y).sqf_list()
+                assert is_squarefree(h) == all(m == 1 for _, m in factors)
 
 
 def _discriminant_oracle(f: BiForm) -> BinaryForm:
@@ -331,6 +389,29 @@ def test_singular_system_permutation_invariance():
         for vec in system.basis.entries:
             image = act_ternary(g, TernaryForm.from_coeff_vector(4, vec))
             assert system.contains(image.coeff_vector())
+
+
+def test_singular_system_without_points_is_every_form():
+    for d in range(1, 5):
+        n = (d + 1) * (d + 2) // 2
+        system = singular_system([], d)
+        assert (system.ambient_dim, system.dim) == (n, n)
+
+
+def test_singular_system_matches_oracle():
+    rng = Random("singular-oracle")
+    cases = [([], 2), ([(0, 1, 0)], 3), ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 4),
+             ([(Fraction(1, 2), Fraction(-2, 3), 5)], 3), ([(1, 1, 1), (1, -1, 2)], 1)]
+    for _ in range(60):
+        points = []
+        for _ in range(rng.randint(1, 4)):
+            p = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3))
+            if any(p) and all(any(p[i] * q[j] != p[j] * q[i] for i in range(3) for j in range(3))
+                              for q in points):
+                points.append(p)
+        cases.append((points, rng.randint(1, 5)))
+    for points, d in cases:
+        assert singular_system(points, d) == oracle_singular_system(points, d)
 
 
 def test_curve_map_guards():

@@ -23,6 +23,7 @@ from biforms.sampling import random_biform, random_binary_form
 from helpers import (
     dict_matches_form,
     form_to_dict,
+    oracle_apolar_diffop,
     oracle_bitransvectant,
     oracle_transvectant,
     oracle_transvectant_matrix,
@@ -87,6 +88,21 @@ def test_apolar_ratio_is_one_for_all_degree_pairs():
                 p = random_binary_form(rng, d)
                 q = random_binary_form(rng, e)
                 assert apolar_diffop(p, q) == transvectant(p, q, e)
+
+
+def test_apolar_matches_oracle():
+    rng = Random("apolar-oracle")
+    cases = [(BinaryForm.parse("X^2"), BinaryForm.parse("Y")),
+             (BinaryForm.parse("1/2*X^3 - 2/3*Y^3"), BinaryForm.parse("3", degree=0)),
+             (BinaryForm.zero(4), BinaryForm.parse("X*Y")),
+             (BinaryForm.parse("X^4 + Y^4"), BinaryForm.zero(2))]
+    for _ in range(200):
+        d = rng.randint(0, 7)
+        p, q = random_binary_form(rng, d), random_binary_form(rng, rng.randint(0, d))
+        cases.append((Fraction(rng.randint(1, 9), rng.randint(1, 9)) * p,
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * q))
+    for p, q in cases:
+        assert apolar_diffop(p, q) == oracle_apolar_diffop(p, q)
 
 
 def test_bitransvectant_examples():
