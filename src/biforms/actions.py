@@ -9,13 +9,19 @@ arbitrary invertible rational representatives; scalar bookkeeping (what the
 center does on each representation) is checked by the verification registry
 rather than carried by a dedicated projective type.
 
-act, act_binary and matrix_of_binary_action run on the integer storage of a
-form.  With g's denominators cleared once (G = s*g), the image of X^(d-k) Y^k
-is the integer column of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k: two
-binomial rows and one convolution, built per call only for the exponents k
-that occur.  A form's vector is transformed one variable group at a time,
-and its denominator gains s^d per group.  act_ternary still substitutes MPoly
-images (MPoly.substitute).
+Every group or Lie-algebra element is a QMat: GroupPair.g1/g2, LiePair.x1/x2
+and G3Element.mat.  One validator, _square, turns a QMat or n rows of n
+rationals into an n x n QMat and checks that it is invertible (or traceless),
+so the functions taking a bare matrix accept either form.
+
+act, act_binary and matrix_of_binary_action run on the integer storage of
+both a form and a matrix g = G / s (G the QMat's integer rows, s its
+denominator): the image of X^(d-k) Y^k is the integer column of
+(G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, two binomial rows and one
+convolution, built per call only for the exponents k that occur.  A form's
+vector is transformed one variable group at a time, and its denominator
+gains s^d per group.  act_ternary still substitutes MPoly images
+(MPoly.substitute).
 
 The Lie-algebra action is the derivative of the substitution action: a 2x2
 traceless x sends a form P in (X, Y) to
@@ -40,69 +46,56 @@ from fractions import Fraction
 from math import comb
 
 from .forms import BiForm, BinaryForm, TernaryForm
-from .linalg import QMat, Subspace, _bareiss, _integer_row, det
+from .linalg import QMat, Subspace, _bareiss, _int_det, det
 from .poly import MPoly, RING_XYZ
 
 
-def _mat2(entries):
-    m = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in entries)
-    if len(m) != 2 or any(len(r) != 2 for r in m):
-        raise ValueError("2x2 matrix required")
-    return m
-
-
-def _det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _mul2(a, b):
-    """The product of two 2x2 matrices, as lists."""
-    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
-
-
-def _invertible2(entries):
-    m = _mat2(entries)
-    if _det2(m) == 0:
+def _square(m, n, traceless=False):
+    """m (a QMat, or n rows of n rationals) as an n x n QMat, checked to be
+    invertible, or traceless when `traceless` is set."""
+    if not isinstance(m, QMat):
+        m = QMat(m)
+    if m.rows != n or m.cols != n:
+        raise ValueError(f"{n}x{n} matrix required")
+    if traceless:
+        if sum(m._num[i][i] for i in range(n)):
+            raise ValueError("non-traceless input")
+    elif not _int_det([list(row) for row in m._num]):
         raise ValueError("singular matrix")
     return m
 
 
 class GroupPair:
-    """Pair of invertible 2x2 rational matrices acting on biforms."""
+    """Pair of invertible 2x2 rational matrices (QMats) acting on biforms."""
 
     __slots__ = ("g1", "g2")
 
     def __init__(self, g1, g2):
-        self.g1 = _invertible2(g1)
-        self.g2 = _invertible2(g2)
+        self.g1 = _square(g1, 2)
+        self.g2 = _square(g2, 2)
 
     @property
     def is_sl(self):
-        return _det2(self.g1) == 1 and _det2(self.g2) == 1
+        return det(self.g1) == 1 and det(self.g2) == 1
 
     @classmethod
     def identity(cls):
-        return cls([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+        return cls(QMat.identity(2), QMat.identity(2))
 
     def __mul__(self, other):
-        return GroupPair(_mul2(self.g1, other.g1), _mul2(self.g2, other.g2))
+        return GroupPair(self.g1 * other.g1, self.g2 * other.g2)
 
     def __repr__(self):
         return f"GroupPair({self.g1}, {self.g2})"
 
 
 class G3Element:
-    """Invertible 3x3 rational matrix acting on ternary forms."""
+    """Invertible 3x3 rational matrix (a QMat) acting on ternary forms."""
 
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        m = tuple(tuple(Fraction(x) for x in row) for row in mat)
-        if len(m) != 3 or any(len(r) != 3 for r in m):
-            raise ValueError("3x3 matrix required")
-        if det(QMat(m)) == 0:
-            raise ValueError("singular matrix")
-        self.mat = m
+        self.mat = _square(mat, 3)
 
     @classmethod
     def substitution(cls, images):
@@ -115,29 +108,27 @@ class G3Element:
 
 
 class LiePair:
-    """Pair of traceless 2x2 rational matrices (an element of sl2 x sl2)."""
+    """Pair of traceless 2x2 rational matrices (QMats), an element of sl2 x sl2."""
 
     __slots__ = ("x1", "x2")
 
     def __init__(self, x1, x2):
-        self.x1 = _mat2(x1)
-        self.x2 = _mat2(x2)
-        if self.x1[0][0] + self.x1[1][1] != 0 or self.x2[0][0] + self.x2[1][1] != 0:
-            raise ValueError("non-traceless input")
+        self.x1 = _square(x1, 2, traceless=True)
+        self.x2 = _square(x2, 2, traceless=True)
 
     def bracket(self, other):
         def comm(a, b):
-            ab, ba = _mul2(a, b), _mul2(b, a)
-            return [[ab[i][j] - ba[i][j] for j in range(2)] for i in range(2)]
+            ab, ba = (a * b).entries, (b * a).entries
+            return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
         return LiePair(comm(self.x1, other.x1), comm(self.x2, other.x2))
 
     def __repr__(self):
         return f"LiePair({self.x1}, {self.x2})"
 
 
-SL2_E = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))  # X d/dY
-SL2_F = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))  # Y d/dX
-SL2_H = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
+SL2_E = QMat(((0, 1), (0, 0)))  # X d/dY
+SL2_F = QMat(((0, 0), (1, 0)))  # Y d/dX
+SL2_H = QMat(((1, 0), (0, -1)))
 
 
 def _binomial_row(x, y, n):
@@ -148,9 +139,10 @@ def _binomial_row(x, y, n):
 def _power_column(G, d, k):
     """Coefficients of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, the image of
     X^(d-k) Y^k, index j at X^(d-j) Y^j: two binomial rows, one convolution.
-    G = (G00, G01, G10, G11) is an integer 2x2 matrix, row by row."""
-    p = _binomial_row(G[0], G[2], d - k)
-    q = _binomial_row(G[1], G[3], k)
+    G is an integer 2x2 matrix, as its two rows."""
+    (g00, g01), (g10, g11) = G
+    p = _binomial_row(g00, g10, d - k)
+    q = _binomial_row(g01, g11, k)
     column = [0] * (d + 1)
     for i, x in enumerate(p):
         if x:
@@ -162,18 +154,18 @@ def _power_column(G, d, k):
 def _act(f, mats):
     """Substitution action of one 2x2 matrix per variable group, on integers.
 
-    With G = s*g, the form's integer vector is transformed one group at a
-    time: an index whose Y-exponent in that group is k (k = i // step %
+    With g = G / s (the QMat's integer rows over its denominator), the
+    form's integer vector is transformed one group at a time: an index whose Y-exponent in that group is k (k = i // step %
     (d + 1)) spreads over the integer column of X^(d-k) Y^k, built once per
     call for each k that occurs, and the denominator gains s^d.
     """
-    if tuple(map(len, mats)) != f.groups:
+    if tuple(m.rows for m in mats) != f.groups:
         raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
     vec, den = f._num, f._den
     step = len(vec)
     for m, d in zip(mats, f._grading(f._degree)):
-        G, s = _integer_row(m[0] + m[1])
-        den *= s ** d
+        G = m._num
+        den *= m._den ** d
         step //= d + 1
         columns = [None] * (d + 1)
         out = [0] * len(vec)
@@ -198,7 +190,7 @@ def act(g: GroupPair, f: BiForm) -> BiForm:
 
 def act_binary(g, f: BinaryForm) -> BinaryForm:
     """Substitution action of a single 2x2 matrix on a binary form."""
-    return _act(f, (_invertible2(g),))
+    return _act(f, (_square(g, 2),))
 
 
 def act_ternary(g: G3Element, f: TernaryForm) -> TernaryForm:
@@ -207,23 +199,25 @@ def act_ternary(g: G3Element, f: TernaryForm) -> TernaryForm:
     if f.groups != (3,):
         raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    images = [MPoly(RING_XYZ, {u: row[j] for u, row in zip(units, g.mat)}) for j in range(3)]
+    rows = g.mat.entries
+    images = [MPoly(RING_XYZ, {u: row[j] for u, row in zip(units, rows)}) for j in range(3)]
     return TernaryForm(f.degree, f.poly.substitute(images))
 
 
 def _lie(f, mats):
     """x00*H + x01*E + x10*F of each group's _sl2_images, for one traceless
     2x2 x per variable group (E = X d/dY, F = Y d/dX, H = X d/dX - Y d/dY)."""
-    if tuple(map(len, mats)) != f.groups:
+    if tuple(m.rows for m in mats) != f.groups:
         raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
     vec = f._num
     total, scale, step = [0] * len(vec), 1, len(vec)
     for m, d in zip(mats, f._grading(f._degree)):
-        X, s = _integer_row(m[0] + m[1])
+        (x00, x01), (x10, _) = m._num
+        s = m._den
         step //= d + 1
         e, fy, h = _sl2_images(vec, d, step)
         # total / scale + (this group's image) / s, over scale * s
-        total = [s * t + scale * (X[1] * a + X[2] * b + X[0] * c)
+        total = [s * t + scale * (x01 * a + x10 * b + x00 * c)
                  for t, a, b, c in zip(total, e, fy, h)]
         scale *= s
     return f._make(f._degree, total, f._den * scale)
@@ -236,18 +230,14 @@ def lie_act(x: LiePair, f: BiForm) -> BiForm:
 
 def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
     """Derivation action of a single traceless 2x2 on a binary form."""
-    x = _mat2(x)
-    if x[0][0] + x[1][1] != 0:
-        raise ValueError("non-traceless input")
-    return _lie(f, (x,))
+    return _lie(f, (_square(x, 2, traceless=True),))
 
 
 def matrix_of_binary_action(g, b: int) -> QMat:
     """Matrix of act_binary(g, .) on V_b in the canonical monomial basis."""
-    m = _invertible2(g)
-    G, s = _integer_row(m[0] + m[1])
-    columns = [_power_column(G, b, k) for k in range(b + 1)]
-    return QMat._make(list(zip(*columns)), s ** b)
+    m = _square(g, 2)
+    columns = [_power_column(m._num, b, k) for k in range(b + 1)]
+    return QMat._make(list(zip(*columns)), m._den ** b)
 
 
 def _sl2_images(vec, d, step):

@@ -63,8 +63,6 @@ from .forms import (
     tensor_product,
 )
 from .linalg import QMat, Subspace, kernel_basis, rank, rref, top_minors
-from .parsing import parse_form
-from .poly import RING_BI, RING_XYZ
 from .sampling import (
     random_biform,
     random_binary_form,
@@ -142,10 +140,6 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return str(x)
-
-
-def _biform(text):
-    return BiForm.from_poly(parse_form(text, RING_BI))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +335,13 @@ def _check_c09(rng: Random, seed=0):
 
 def _check_c10(rng: Random):
     # (i) the second-factor center acts trivially on V_b for even b
-    minus = ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
+    minus = ((-1, 0), (0, -1))
     for b in (0, 2, 4, 6, 8, 10):
         a_mat = matrix_of_binary_action(minus, b)
         if a_mat != QMat.identity(b + 1):
             return "fail", {"reason": "even-b center action nontrivial", "b": b}
     # (ii) center bookkeeping on biforms: (-1,1) and (1,-1) scale by (-1)^a, (-1)^b
-    ident = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    first, g = GroupPair(minus, ident), GroupPair(ident, minus)
+    first, g = GroupPair(minus, QMat.identity(2)), GroupPair(QMat.identity(2), minus)
     for a in range(0, 9):
         for b in range(0, 9):
             n = (a + 1) * (b + 1)
@@ -402,10 +395,10 @@ def _binomial_basis_column(which, i, reference):
 
 def _check_c11(rng: Random):
     wit = {}
-    reference = _biform(REFERENCE_12)
+    reference = BiForm.parse(REFERENCE_12)
 
     # (1) non-degeneracy witness in V_(1,6) and its kernel curve
-    witness = _biform(SLICE_WITNESS_16)
+    witness = BiForm.parse(SLICE_WITNESS_16)
     m = transvectant_matrix(witness, 1, 2, (1, 2))
     wit["witness_rank"] = rank(m)
     ker = kernel_basis(m)
@@ -442,7 +435,7 @@ def _check_c11(rng: Random):
     weights = []
     for weight, texts in SLICE_BLOCKS_16.items():
         for text in texts:
-            v = _biform(text)
+            v = BiForm.parse(text)
             if not bitransvectant(v, reference, 1, 2).is_zero():
                 return "fail", {**wit, "reason": f"block vector not in slice: {text}"}
             w = weight_of(v, SLICE_TORUS, SLICE_TWIST)
@@ -459,7 +452,7 @@ def _check_c11(rng: Random):
         return "fail", wit
 
     # (4) stabilizer of the reference curve
-    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    swap = ((0, 1), (1, 0))
     if act(GroupPair(swap, swap), reference) != reference:
         return "fail", {**wit, "reason": "swap does not fix the reference form"}
     for alpha in (Fraction(2), Fraction(3), Fraction(5, 2)):
@@ -475,8 +468,8 @@ def _check_c11(rng: Random):
 
 
 def _check_c12(rng: Random, h_prime_text=None):
-    h = _biform(PAIRING_18)
-    h2 = _biform(h_prime_text or PAIRING_14)
+    h = BiForm.parse(PAIRING_18)
+    h2 = BiForm.parse(h_prime_text or PAIRING_14)
     wit = {}
     pairing = bitransvectant(h, h2, 1, 2)
     shortcut = specialized_1s(h, h2, 2)
@@ -514,14 +507,10 @@ QUARTIC_SPAN = ["X^2*Y^2", "Y^2*Z^2", "Z^2*X^2", "X^2*Y*Z", "Y^2*Z*X", "Z^2*X*Y"
 QUARTIC_BLOCKS = [["X^2*Y^2", "Y^2*Z^2", "Z^2*X^2"], ["X^2*Y*Z", "Y^2*Z*X", "Z^2*X*Y"]]
 
 
-def _ternary(text, degree):
-    return TernaryForm.from_poly(parse_form(text, RING_XYZ), degree)
-
-
 def _ternary_span(texts, degree):
     return Subspace.from_vectors(
-        len(_ternary(texts[0], degree).coeff_vector()),
-        [_ternary(t, degree).coeff_vector() for t in texts],
+        len(TernaryForm.parse(texts[0], degree).coeff_vector()),
+        [TernaryForm.parse(t, degree).coeff_vector() for t in texts],
     )
 
 
@@ -530,7 +519,7 @@ def _blocks_invariant(blocks, degree, elements):
         space = _ternary_span(block, degree)
         for g in elements:
             for text in block:
-                image = act_ternary(g, _ternary(text, degree))
+                image = act_ternary(g, TernaryForm.parse(text, degree))
                 if not space.contains(image.coeff_vector()):
                     return False
     return True

@@ -21,9 +21,9 @@ denominator s^(2(b-1)).  The components, the span and the image subspace
 are slices and reshapes of F's integer vector.
 
 The gcd of two binary forms, which gives the base locus for the hyperplane
-degree and the squarefree test, is read off one RREF of the same Sylvester
-rows: they span the gcd's multiples of degree d + e - 1, so the last
-reduced row is the gcd times a power of Y.
+degree and the squarefree test, is read off a Bareiss forward pass on the
+same Sylvester rows: they span the gcd's multiples of degree d + e - 1, so
+the last echelon row is the gcd times a power of Y, up to scale.
 
 singular_system computes linear systems of plane curves singular at
 prescribed exact points, as the kernel of the integer rows of values and
@@ -36,7 +36,7 @@ from fractions import Fraction
 from random import Random
 
 from .forms import BiForm, BinaryForm, _common, ternary_basis
-from .linalg import QMat, Subspace, _int_det, _integer_row, column_space, kernel_basis, rank, rref
+from .linalg import QMat, Subspace, _bareiss, _int_det, _integer_row, column_space, kernel_basis, rank
 
 
 class CurveMap:
@@ -106,7 +106,8 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
     For nonzero f, g of degrees d, e the d + e Sylvester rows span
     G * V_(d+e-1-k), G the gcd and k its degree, so the rank is d + e - k
-    and the last RREF row is G * Y^(rank-1) over G's first coefficient.
+    and the last echelon row of the forward pass is G * Y^(rank-1) up to
+    scale (back-substitution would only rescale it).
     """
     if f.is_zero():
         return g if g.is_zero() else _monic(g)
@@ -115,8 +116,9 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     d, e = f.degree, g.degree
     if d + e == 0:
         return BinaryForm._make(0, (1,), 1)
-    reduced, rk, _ = rref(QMat._make(_sylvester_rows(list(f._num), list(g._num)), 1))
-    return BinaryForm._make(d + e - rk, reduced._num[rk - 1][rk - 1:], reduced._den)
+    work = _sylvester_rows(list(f._num), list(g._num))
+    rk = len(_bareiss(work)[0])
+    return _monic(BinaryForm._make(d + e - rk, work[rk - 1][rk - 1:], 1))
 
 
 def _monic(f: BinaryForm) -> BinaryForm:
@@ -292,11 +294,10 @@ def singular_system(points, d: int) -> Subspace:
             if _projectively_equal(pts[i], pts[j]):
                 raise ValueError("points must be distinct")
     basis = ternary_basis(d)
-    # the zero row sets the width when there are no points
-    rows = [[0] * len(basis)]
+    rows = []
     for x, y, z in pts:
         rows.append([x ** i * y ** j * z ** k for i, j, k in basis])
         rows.append([i and i * x ** (i - 1) * y ** j * z ** k for i, j, k in basis])
         rows.append([j and j * x ** i * y ** (j - 1) * z ** k for i, j, k in basis])
         rows.append([k and k * x ** i * y ** j * z ** (k - 1) for i, j, k in basis])
-    return kernel_basis(QMat._make(rows, 1))
+    return kernel_basis(QMat._make(rows, 1, len(basis)))

@@ -222,9 +222,10 @@ class BinaryForm(_Form):
 
     def _diff(self, order, powers, start):
         """Scale index k by perm(powers[k], order) and keep the degree d - order
-        slice from `start` (the zero form of degree 0 when order > d)."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        slice from `start` (the zero form of degree 0 when order > d; the
+        form itself when order = 0)."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
         e = self.degree - order
         if e < 0:
             return BinaryForm.zero(0)

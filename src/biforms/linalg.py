@@ -1,9 +1,10 @@
 """Exact linear algebra over Q.
 
 Matrices are small and dense (nothing here exceeds a few dozen rows).  A QMat
-is stored like a form: `_num`, a tuple of integer row tuples (a matrix without
-rows has no columns), over `_den`, one positive common denominator, with
-gcd(den, every entry) = 1, so equality and hashing are tuple operations.
+is stored like a form: `_num`, a tuple of integer row tuples, over `_den`,
+one positive common denominator, with gcd(den, every entry) = 1, so equality
+and hashing are tuple operations.  `cols` is kept for a matrix without rows
+too, so a 0 x n matrix is not a 0 x 0 one.
 `_make` is the one private constructor; `_reduce`, shared with the forms, is
 the one place that rule is written.  `entries` builds Fractions on each access.
 
@@ -48,9 +49,11 @@ class QMat:
 
     __slots__ = ("rows", "cols", "_num", "_den")
 
-    def __init__(self, entries):
+    def __init__(self, entries, cols=0):
+        """Rows of rationals; `cols` is the width when there are no rows."""
         entries = [tuple(row) for row in entries]
-        cols = len(entries[0]) if entries else 0
+        if entries:
+            cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise ValueError("ragged rows")
         flat, den = _integer_row([x for row in entries for x in row])
@@ -59,12 +62,13 @@ class QMat:
         self.rows, self.cols = len(entries), cols
 
     @classmethod
-    def _make(cls, rows, den):
-        """rows / den (integer rows of one length, den > 0) as the canonical pair."""
+    def _make(cls, rows, den, cols=0):
+        """rows / den (integer rows of one length, den > 0) as the canonical
+        pair; `cols` is the width when there are no rows."""
         new = object.__new__(cls)
         new._num, new._den = _reduce(rows, den)
         new.rows = len(new._num)
-        new.cols = len(new._num[0]) if new._num else 0
+        new.cols = len(new._num[0]) if new._num else cols
         return new
 
     @property
@@ -75,7 +79,7 @@ class QMat:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls._make([[0] * cols for _ in range(rows)], 1)
+        return cls._make([[0] * cols for _ in range(rows)], 1, cols)
 
     @classmethod
     def identity(cls, n):
@@ -83,10 +87,10 @@ class QMat:
 
     @classmethod
     def from_columns(cls, columns):
-        return cls(zip(*columns))
+        return cls(columns).transpose()
 
     def transpose(self):
-        return QMat._make(list(zip(*self._num)), self._den)
+        return QMat._make(_columns(self), self._den, self.rows)
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -100,25 +104,30 @@ class QMat:
 
     def __mul__(self, other):
         if isinstance(other, QMat):
-            # a matrix without rows has no known width: it is 0 x n for any n
-            if self.rows and self.cols != other.rows:
+            if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            columns = list(zip(*other._num))
+            columns = _columns(other)
             return QMat._make([[sum(a * b for a, b in zip(row, c)) for c in columns]
-                               for row in self._num], self._den * other._den)
+                               for row in self._num], self._den * other._den, other.cols)
         n, d = Fraction(other).as_integer_ratio()
-        return QMat._make([[n * x for x in row] for row in self._num], d * self._den)
+        return QMat._make([[n * x for x in row] for row in self._num], d * self._den, self.cols)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, QMat) and self._den == other._den and self._num == other._num
+        return (isinstance(other, QMat) and self.cols == other.cols
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self._den, self._num))
+        return hash((self.cols, self._den, self._num))
 
     def __repr__(self):
         return f"QMat({[list(map(str, r)) for r in self.entries]})"
+
+
+def _columns(m):
+    """The integer columns of m as tuples (m.cols empty ones when m has no rows)."""
+    return list(zip(*m._num)) if m.rows else [()] * m.cols
 
 
 def _bareiss(work):
@@ -190,7 +199,7 @@ def rref(m: QMat):
     den = lcm(*[row[p] for row, p in zip(echelon, pivots)])
     full = [[x * (den // row[p]) for x in row] for row, p in zip(echelon, pivots)]
     full += [[0] * m.cols for _ in range(m.rows - rank)]
-    return QMat._make(full, den), rank, tuple(pivots)
+    return QMat._make(full, den, m.cols), rank, tuple(pivots)
 
 
 def rank(m: QMat) -> int:
@@ -203,7 +212,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim, basis: QMat):
-        if basis.rows and basis.cols != ambient_dim:
+        if basis.cols != ambient_dim:
             raise ValueError("basis width != ambient dimension")
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -211,11 +220,11 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
         """Span of the given vectors, canonicalized (a common factor is irrelevant)."""
-        m = QMat(vectors)
-        if m.rows and m.cols != ambient_dim:
+        m = QMat(vectors, ambient_dim)
+        if m.cols != ambient_dim:
             raise ValueError("vector length != ambient dimension")
         reduced, rk, _ = rref(m)
-        return cls(ambient_dim, QMat._make(reduced._num[:rk], reduced._den))
+        return cls(ambient_dim, QMat._make(reduced._num[:rk], reduced._den, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -274,7 +283,7 @@ def kernel_basis(m: QMat) -> Subspace:
 
 def column_space(m: QMat) -> Subspace:
     """Canonical subspace of Q^rows spanned by the columns of m."""
-    return Subspace.from_vectors(m.rows, zip(*m._num))
+    return Subspace.from_vectors(m.rows, _columns(m))
 
 
 def det(m: QMat) -> Fraction:

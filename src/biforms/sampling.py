@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from random import Random
 
-from .actions import GroupPair, _mul2
+from .actions import GroupPair
 from .forms import BiForm, BinaryForm
-from .linalg import Subspace
+from .linalg import QMat, Subspace
 
 COEFF_RANGE = (-9, 9)
 
@@ -46,10 +46,10 @@ def random_subspace(rng: Random, ambient_dim: int, dim: int) -> Subspace:
             return w
 
 
-def random_sl2(rng: Random, spread: int = 3):
+def random_sl2(rng: Random, spread: int = 3) -> QMat:
     """Random determinant-1 2x2 integer matrix: upper, lower and upper shears."""
     k1, k2, k3 = (rng.randint(-spread, spread) for _ in range(3))
-    return _mul2(_mul2(((1, k1), (0, 1)), ((1, 0), (k2, 1))), ((1, k3), (0, 1)))
+    return QMat(((1, k1), (0, 1))) * QMat(((1, 0), (k2, 1))) * QMat(((1, k3), (0, 1)))
 
 
 def random_sl_pair(rng: Random) -> GroupPair:

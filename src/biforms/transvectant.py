@@ -52,9 +52,7 @@ def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     for k, c in enumerate(q._num):
         if c:
             # X^(e-k) Y^k  ->  (-1)^(e-k) d^e / dX^k dY^(e-k)
-            piece = p.dx(k) if k else p
-            piece = piece.dy(e - k) if e - k else piece
-            total = total + (-1) ** (e - k) * c * piece
+            total = total + (-1) ** (e - k) * c * p.dx(k).dy(e - k)
     return Fraction(factorial(e), q._den) * total
 
 

@@ -94,11 +94,12 @@ def oracle_transvectant_matrix(f, r, s, source_bidegree):
 
 def _images(f, mats):
     """MPoly images of a binary form's or biform's variables under v -> v . m,
-    one 2x2 m per variable pair: the j-th variable of a pair goes to
-    sum_i m[i][j] * (the pair's i-th variable)."""
+    one 2x2 m per variable pair (a QMat or rows of rationals): the j-th
+    variable of a pair goes to sum_i m[i][j] * (the pair's i-th variable)."""
     n = len(f.ring)
     images = []
     for start, m in zip(range(0, n, 2), mats):
+        m = m.entries if isinstance(m, QMat) else m
         for j in range(2):
             images.append(MPoly(f.ring, {
                 tuple(int(v == start + i) for v in range(n)): Fraction(m[i][j])

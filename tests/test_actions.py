@@ -121,8 +121,7 @@ def test_act_ternary_is_group_action():
         basis = ternary_basis(d)
         f = TernaryForm.from_coeff_vector(d, [rng.randint(-5, 5) for _ in basis])
         g, h = _random_g3(rng), _random_g3(rng)
-        gh = G3Element([[sum(g.mat[i][k] * h.mat[k][j] for k in range(3)) for j in range(3)]
-                        for i in range(3)])
+        gh = G3Element(g.mat * h.mat)
         assert act_ternary(gh, f) == act_ternary(g, act_ternary(h, f))
 
 

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from biforms import BinaryForm
 from biforms.checks import (
     REGISTRY,
     CheckResult,
@@ -159,6 +160,48 @@ def test_c07_fails_below_quota(monkeypatch):
     assert len(wit["grid"]["(1,4)"]["degenerate"]) == 100
 
 
+@pytest.mark.parametrize("perturb, reason", [
+    # both sides of symmetry and bilinearity double too; only T_0 = p*q sees it
+    (lambda t, p, q, r: 2 * t, "r=0 product"),
+    # an added X^(d+e-2r) is not bilinear in p
+    (lambda t, p, q, r: t + BinaryForm.from_coeff_vector(t.degree, [1] + [0] * t.degree),
+     "bilinearity"),
+], ids=["doubled", "shifted"])
+def test_c01_fails_with_a_perturbed_transvectant(monkeypatch, perturb, reason):
+    import biforms.checks as checks_mod
+
+    real = checks_mod.transvectant
+    monkeypatch.setattr(checks_mod, "transvectant",
+                        lambda p, q, r: perturb(real(p, q, r), p, q, r))
+    status, wit = checks_mod._check_c01(Random(0))
+    assert status == "fail"
+    assert wit["reason"] == reason
+
+
+def test_c03_fails_with_swapped_shortcut_operands(monkeypatch):
+    # T_(1,s)(g, f) = (-1)^(1+s) T_(1,s)(f, g): the shortcut is off at even s
+    import biforms.checks as checks_mod
+
+    real = checks_mod.specialized_1s
+    monkeypatch.setattr(checks_mod, "specialized_1s", lambda f, g, s: real(g, f, s))
+    status, wit = checks_mod._check_c03(Random(0))
+    assert status == "fail"
+    assert wit["reason"] == "shortcut disagrees" and wit["s"] % 2 == 0
+
+
+def test_c09_fails_on_a_form_with_a_stabilizer(monkeypatch):
+    # X1*Y2^b + Y1*X2^b is fixed by a one-dimensional torus
+    import biforms.checks as checks_mod
+    from biforms import BiForm
+
+    monkeypatch.setattr(checks_mod, "random_biform",
+                        lambda rng, a, b: BiForm.parse(f"X1*Y2^{b} + Y1*X2^{b}"))
+    status, wit = checks_mod._check_c09(Random(0), seed=0)
+    assert status == "fail"
+    assert wit["reason"] == "biform stabilizer nonzero"
+    assert wit["point"] == [1, 5] and wit["dim"] == 1
+
+
 def test_c02_fails_with_wrong_tensor_product(monkeypatch):
     # the outer product laid out with q's index outermost: the wrong basis order
     import biforms.checks as checks_mod
@@ -182,7 +225,7 @@ def test_c06_fails_with_wrong_act(monkeypatch):
     real = checks_mod.act
 
     def doubled(g, f):
-        return real(GroupPair(g.g1, [[2 * x for x in row] for row in g.g2]), f)
+        return real(GroupPair(g.g1, 2 * g.g2), f)
 
     monkeypatch.setattr(checks_mod, "act", doubled)
     status, wit = checks_mod._check_c06(Random(0))
@@ -199,7 +242,7 @@ def test_c06_fails_with_transposed_g2(monkeypatch):
     real = checks_mod.act
 
     def transposed(g, f):
-        return real(GroupPair(g.g1, list(zip(*g.g2))), f)
+        return real(GroupPair(g.g1, g.g2.transpose()), f)
 
     monkeypatch.setattr(checks_mod, "act", transposed)
     status, wit = checks_mod._check_c06(Random(0))

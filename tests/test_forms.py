@@ -199,3 +199,17 @@ def test_storage_of_other_constructors():
             [MPoly.variable(RING_BI, v) for v in ("X2", "Y2")])
         if d:
             assert q.dx().poly == q.poly.diff("X") and q.dy(2).poly == q.poly.diff("Y", 2)
+
+
+def test_derivative_orders():
+    # order 0 is the form itself; a negative order is an error
+    rng = Random("derivative-orders")
+    for d in range(5):
+        q = BinaryForm.from_coeff_vector(d, [Fraction(rng.randint(-9, 9), 4) for _ in range(d + 1)])
+        assert q.dx(0) == q and q.dy(0) == q
+        for k in range(d + 2):
+            assert q.dx(k).poly == (q.poly.diff("X", k) if k else q.poly)
+            assert q.dy(k).poly == (q.poly.diff("Y", k) if k else q.poly)
+        for method in (q.dx, q.dy):
+            with pytest.raises(ValueError):
+                method(-1)

@@ -13,6 +13,7 @@ from biforms import (
     kernel_basis,
     rank,
     rref,
+    singular_system,
     top_minors,
 )
 
@@ -113,6 +114,26 @@ def test_kernel_examples():
     assert kernel_basis(QMat.identity(4)).dim == 0
     k = kernel_basis(QMat([[1, 1]]))
     assert k.dim == 1 and k.basis == QMat([[1, -1]])
+
+
+def test_matrices_without_rows_keep_their_width():
+    # the null space of a 0 x n matrix is all of Q^n
+    full = kernel_basis(QMat.zero(0, 3))
+    assert full.ambient_dim == 3 and full.dim == 3
+    assert full == Subspace.from_vectors(3, QMat.identity(3).entries)
+    assert kernel_basis(QMat([], 2)).dim == 2
+    assert rref(QMat.zero(0, 3))[0] == QMat.zero(0, 3)
+    assert Subspace.from_vectors(3, []) == Subspace.zero(3)
+    assert QMat.zero(0, 3).transpose() == QMat.zero(3, 0)
+    assert QMat.zero(3, 0).transpose() == QMat.zero(0, 3)
+    assert QMat.from_columns([[], []]) == QMat.zero(0, 2)
+    assert QMat.zero(2, 0) * QMat.zero(0, 3) == QMat.zero(2, 3)
+    assert QMat.zero(0, 2) * QMat([[1, 2, 3], [4, 5, 6]]) == QMat.zero(0, 3)
+    with pytest.raises(ValueError):
+        QMat.zero(0, 3) * QMat.identity(2)
+    with pytest.raises(ValueError):
+        Subspace(3, QMat.zero(0, 2))
+    assert singular_system([], 2).dim == 6
 
 
 def test_rank_nullity_randomized():
@@ -219,7 +240,7 @@ def assert_canonical(m):
     assert all(type(x) is int for row in num for x in row)
     assert type(den) is int and den > 0
     assert gcd(den, *(x for row in num for x in row)) == 1
-    assert m.rows == len(num) and m.cols == (len(num[0]) if num else 0)
+    assert m.rows == len(num)
     assert all(len(row) == m.cols for row in num)
     assert all(type(x) is Fraction for row in m.entries for x in row)
     assert m.entries == tuple(tuple(Fraction(x, den) for x in row) for row in num)
@@ -247,17 +268,18 @@ def test_qmat_storage_invariants():
     everything = mats + derived
     for m in everything:
         assert_canonical(m)
-    # equality and hashing are those of the entries, whatever the route
+    # equality and hashing are those of the shape and entries, whatever the route
     same = [QMat([[1, 2], [3, 4]]) * half, QMat([[half, 1], [Fraction(3, 2), 2]]),
             QMat.from_columns([[half, Fraction(3, 2)], [1, 2]]),
             QMat([[2, 4], [6, 8]]) * Fraction(1, 4)]
     for a, b in product(everything + same, repeat=2):
-        assert (a == b) == (a.entries == b.entries)
+        assert (a == b) == ((a.cols, a.entries) == (b.cols, b.entries))
         if a == b:
             assert hash(a) == hash(b)
     assert len(set(same)) == 1
-    # a matrix without rows has no columns, however it was built
-    assert QMat.zero(0, 3) == QMat([]) and QMat.zero(0, 3).cols == 0
+    # a matrix without rows keeps its width, however it was built
+    assert QMat.zero(0, 3) == QMat([], 3) != QMat([]) and QMat.zero(0, 3).cols == 3
+    assert hash(QMat.zero(0, 3)) != hash(QMat.zero(0, 2))
     assert QMat.zero(3, 0) == QMat([[], [], []]) != QMat([])
     assert repr(QMat([[half, -2]])) == "QMat([['1/2', '-2']])"
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import biforms
 import biforms.sampling  # noqa: F401  (the tracer wraps it by module name)
-from biforms import BiForm, BinaryForm, TernaryForm
+from biforms import BiForm, BinaryForm, GroupPair, LiePair, QMat, Subspace, TernaryForm
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +34,35 @@ def test_tracer_installs_on_the_package():
     for cls, attrs in originals.items():
         assert dict(vars(cls)) == attrs
     assert biforms.act is biforms.actions.act
+
+
+def test_tracer_counts_the_action_and_curve_layers():
+    """One traced call each through the wrapped names: a signature or type
+    drift in these layers fails here, not only under --trace 1."""
+    tracer = _load_tracer().Tracer()
+    f = BiForm.parse("X1*Y2^2 + 5*Y1*X2^2")
+    g = GroupPair(QMat([[1, 2], [0, 1]]), QMat([[0, 1], [-1, 0]]))
+    x = LiePair(QMat([[1, 0], [0, -1]]), [[0, 1], [0, 0]])
+    w = Subspace.from_vectors(3, [[1, 0, 1]])
+    p, q = BinaryForm.parse("X^2 - Y^2"), BinaryForm.parse("X^2 + 2*X*Y + Y^2")
+    try:
+        tracer.install()
+        acted = biforms.act(g, f)
+        derived = biforms.lie_act(x, f)
+        mat = biforms.matrix_of_binary_action(g.g2, 2)
+        scalar = biforms.det_scalar(g, w)
+        common = biforms.binary_gcd(p, q)
+    finally:
+        tracer.uninstall()
+    assert acted == BiForm.parse("X1*X2^2 + 5*(2*X1 + Y1)*Y2^2")
+    assert derived == BiForm.parse("X1*Y2^2 - 5*Y1*X2^2 + 2*X1*X2*Y2")
+    assert mat == QMat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+    assert scalar == 1
+    assert common == BinaryForm.parse("X + Y")
+    counts = {name: tracer.stats[name][0] for name in (
+        "actions.act", "actions.lie_act", "actions.matrix_of_binary_action",
+        "actions.det_scalar", "curves.binary_gcd")}
+    # det_scalar builds the matrix of g2 once more, through the wrapped name
+    assert counts == {"actions.act": 1, "actions.lie_act": 1,
+                      "actions.matrix_of_binary_action": 2, "actions.det_scalar": 1,
+                      "curves.binary_gcd": 1}
