@@ -61,6 +61,7 @@ from .forms import (
     TernaryForm,
     from_binomial_coeffs,
     tensor_product,
+    ternary_basis,
 )
 from .linalg import QMat, Subspace, kernel_basis, rank, rref, top_minors
 from .sampling import (
@@ -509,7 +510,7 @@ QUARTIC_BLOCKS = [["X^2*Y^2", "Y^2*Z^2", "Z^2*X^2"], ["X^2*Y*Z", "Y^2*Z*X", "Z^2
 
 def _ternary_span(texts, degree):
     return Subspace.from_vectors(
-        len(TernaryForm.parse(texts[0], degree).coeff_vector()),
+        len(ternary_basis(degree)),
         [TernaryForm.parse(t, degree).coeff_vector() for t in texts],
     )
 

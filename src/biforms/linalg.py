@@ -11,7 +11,9 @@ the one place that rule is written.  `entries` builds Fractions on each access.
 Every kernel reads and writes the integers.  Elimination is a fraction-free
 Bareiss forward pass; rref back-substitutes on the integer rows too, dividing
 each updated row by its gcd, and returns its rows over the lcm of the pivots.
-This keeps intermediate integers small at the sizes that occur here.
+This keeps intermediate integers small at the sizes that occur here.  The
+maximal minors of a tall matrix take no elimination: top_minors builds them
+column by column by Laplace expansion, without division.
 
 A Subspace is held in canonical reduced row-echelon form: rows are the basis,
 pivots are 1 with zeros elsewhere in their columns, pivot columns strictly
@@ -122,6 +124,8 @@ class QMat:
         return hash((self.cols, self._den, self._num))
 
     def __repr__(self):
+        if not self.rows:
+            return f"QMat([], cols={self.cols})"
         return f"QMat({[list(map(str, r)) for r in self.entries]})"
 
 
@@ -299,10 +303,28 @@ def top_minors(m: QMat):
     Minors are indexed by the size-cols subsets of the row indices,
     enumerated in lexicographic order; they are the Pluecker coordinates
     of the column span.  All zero iff rank < cols.
+
+    Laplace build-up on the integer rows: the minor on rows S and the first
+    j + 1 columns is the expansion along column j, the sum over t of
+    (-1)^(t+j) m[S_t][j] times the minor on S without S_t and the first j
+    columns.  No division; one multiply-add per nonzero (subset, row) entry.
     """
     if m.cols > m.rows:
         raise ValueError("top_minors requires rows >= cols")
-    # each minor is an integer det over den^cols
-    rows, scale = m._num, m._den ** m.cols
-    return tuple(Fraction(_int_det([list(rows[i]) for i in subset]), scale)
-                 for subset in combinations(range(m.rows), m.cols))
+    rows = m._num
+    minors = {(): 1}
+    for j in range(m.cols):
+        level = {}
+        for subset in combinations(range(m.rows), j + 1):
+            total = 0
+            sign = -1 if j % 2 else 1
+            for t, i in enumerate(subset):
+                x = rows[i][j]
+                if x:
+                    total += sign * x * minors[subset[:t] + subset[t + 1:]]
+                sign = -sign
+            level[subset] = total
+        minors = level
+    # each minor is an integer over den^cols; dicts keep the combinations order
+    scale = m._den ** m.cols
+    return tuple(Fraction(x, scale) for x in minors.values())

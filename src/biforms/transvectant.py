@@ -20,15 +20,15 @@ monomial per column for the matrix).
 
 apolar_diffop realizes the extreme transvectant r = d' <= d by substituting
 (-d/dY, d/dX) for (X, Y) in P', applying the resulting operator to P and
-scaling by d'!.  It sums the forms' own derivatives (dx, dy), not the Cayley
-kernel, so it is an independent route.  Under the normalization above it
-agrees with transvectant(P, P', d') on the nose (ratio 1 for every (d, d')),
-which the verification registry re-derives numerically.
+scaling by d'!.  It convolves the two integer coefficient vectors with that
+operator's falling factorials, not through the Cayley kernel, so it is an
+independent route.  Under the normalization above it agrees with
+transvectant(P, P', d') on the nose (ratio 1 for every (d, d')), which the
+verification registry re-derives numerically.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, perm
 
 from .forms import BiForm, BinaryForm, embed_first, embed_second, extract_first
@@ -44,16 +44,23 @@ def transvectant(p: BinaryForm, q: BinaryForm, r: int) -> BinaryForm:
 
 
 def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
-    """Apply d'! * q(-d/dY, d/dX) to p, for d' = deg q <= deg p."""
+    """Apply d'! * q(-d/dY, d/dX) to p, for d' = deg q <= deg p.
+
+    q's term X^(e-k) Y^k acts as (-1)^(e-k) d^e / dX^k dY^(e-k), which sends
+    p's X^(d-i) Y^i, i = m + e - k, to perm(d-i, k) perm(i, e-k) X^(d-e-m) Y^m;
+    the integer numerators of p and q are convolved that way in one vector.
+    """
     d, e = p.degree, q.degree
     if e > d:
         raise ValueError(f"operator degree {e} exceeds operand degree {d}")
-    total = BinaryForm.zero(d - e)
+    out = [0] * (d - e + 1)
     for k, c in enumerate(q._num):
         if c:
-            # X^(e-k) Y^k  ->  (-1)^(e-k) d^e / dX^k dY^(e-k)
-            total = total + (-1) ** (e - k) * c * p.dx(k).dy(e - k)
-    return Fraction(factorial(e), q._den) * total
+            w = (-1) ** (e - k) * factorial(e) * c
+            for m in range(d - e + 1):
+                i = m + e - k
+                out[m] += w * perm(d - i, k) * perm(i, e - k) * p._num[i]
+    return BinaryForm._make(d - e, out, p._den * q._den)
 
 
 def _cayley(f: BiForm, r, s, source_bidegree, operands):

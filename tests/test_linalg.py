@@ -215,17 +215,22 @@ def test_top_minors_scale_by_det():
 def test_top_minors_match_per_subset_det():
     from itertools import combinations
     rng = Random("top-minors-det")
+    # C10's shapes (b + 1) x dim for b = 5, 7, 9 among them
     shapes = [(1, 1), (4, 1), (5, 2), (6, 3), (4, 4), (7, 3), (6, 5)]
+    shapes += [(rows, cols) for rows in (6, 8) for cols in range(1, 6)] + [(10, 5)]
     for rows, cols in shapes:
         integer = rand_mat(rng, rows, cols)
         rational = QMat([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
                          for _ in range(rows)])
         low_rank = integer * QMat([[1] * cols] + [[0] * cols] * (cols - 1))
-        for m in (integer, rational, low_rank):
+        zero_column = QMat([row[:-1] + (0,) for row in rational.entries])
+        repeated_row = QMat(rational.entries[:-1] + rational.entries[:1])
+        for m in (integer, rational, low_rank, zero_column, repeated_row):
             expected = tuple(det(QMat([m.entries[i] for i in subset]))
                              for subset in combinations(range(rows), cols))
             assert top_minors(m) == expected
     assert top_minors(QMat([[], []])) == (Fraction(1),)
+    assert top_minors(QMat([])) == (Fraction(1),)
 
 
 def rand_rational_mat(rng, rows, cols):
@@ -282,6 +287,7 @@ def test_qmat_storage_invariants():
     assert hash(QMat.zero(0, 3)) != hash(QMat.zero(0, 2))
     assert QMat.zero(3, 0) == QMat([[], [], []]) != QMat([])
     assert repr(QMat([[half, -2]])) == "QMat([['1/2', '-2']])"
+    assert repr(QMat.zero(0, 3)) == "QMat([], cols=3)" != repr(QMat([]))
     with pytest.raises(ValueError):
         QMat([[1, 2], [3]])
 

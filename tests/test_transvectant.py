@@ -95,7 +95,13 @@ def test_apolar_matches_oracle():
     cases = [(BinaryForm.parse("X^2"), BinaryForm.parse("Y")),
              (BinaryForm.parse("1/2*X^3 - 2/3*Y^3"), BinaryForm.parse("3", degree=0)),
              (BinaryForm.zero(4), BinaryForm.parse("X*Y")),
-             (BinaryForm.parse("X^4 + Y^4"), BinaryForm.zero(2))]
+             (BinaryForm.parse("X^4 + Y^4"), BinaryForm.zero(2)),
+             # e = 0, e = d (down to d = 0), q without middle terms, unlike denominators
+             (BinaryForm.parse("2/3*X^5 - X^2*Y^3 + 7/4*Y^5"), BinaryForm.parse("5/6", degree=0)),
+             (BinaryForm.parse("1/2*X^3 + X*Y^2 - 5/3*Y^3"), BinaryForm.parse("2/5*X^3 - 1/7*Y^3")),
+             (BinaryForm.parse("3/4", degree=0), BinaryForm.parse("-2/9", degree=0)),
+             (BinaryForm.parse("X^6 - 2/3*X^3*Y^3 + 5*Y^6"), BinaryForm.parse("X^4 - 3/2*Y^4")),
+             (BinaryForm.parse("1/3*X^2*Y - 5/4*Y^3"), BinaryForm.parse("2/5*X*Y - 7/9*Y^2"))]
     for _ in range(200):
         d = rng.randint(0, 7)
         p, q = random_binary_form(rng, d), random_binary_form(rng, rng.randint(0, d))
