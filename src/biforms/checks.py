@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 from time import perf_counter
 
@@ -110,7 +111,9 @@ class CheckResult:
 
     def __init__(self, check_id: str, status: str, witnesses: dict, runtime_ms: int = 0):
         self.check_id = check_id
-        self.status = status            # "pass" | "fail" | "degenerate"
+        # "pass" | "fail"; no check emits "degenerate", and Report.summary
+        # counts it only because the report format carries that key
+        self.status = status
         self.witnesses = witnesses
         self.runtime_ms = runtime_ms
 
@@ -144,10 +147,10 @@ def _jsonable(x):
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns (status, witnesses)
+# individual checks; each takes (rng, seed) and returns (status, witnesses)
 # ---------------------------------------------------------------------------
 
-def _check_c01(rng: Random):
+def _check_c01(rng: Random, seed: int):
     trials = 0
     for _ in range(40):
         d, e = rng.randint(1, 6), rng.randint(1, 6)
@@ -170,7 +173,7 @@ def _check_c01(rng: Random):
     return "pass", {"trials": trials, "degree_range": [1, 6]}
 
 
-def _check_c02(rng: Random):
+def _check_c02(rng: Random, seed: int):
     trials = 0
     for _ in range(40):
         a, a2 = rng.randint(0, 3), rng.randint(0, 3)
@@ -189,7 +192,7 @@ def _check_c02(rng: Random):
     return "pass", {"trials": trials, "degree_bounds": {"first": 3, "second": 6}}
 
 
-def _check_c03(rng: Random):
+def _check_c03(rng: Random, seed: int):
     trials = 0
     for _ in range(100):
         b, b2 = rng.randint(0, 8), rng.randint(0, 8)
@@ -202,14 +205,15 @@ def _check_c03(rng: Random):
     return "pass", {"trials": trials, "second_degree_bound": 8}
 
 
-def _check_c04(rng: Random):
+def _check_c04(rng: Random, seed: int):
     table = {}
     for d in range(1, 7):
         for e in range(1, d + 1):
             constants = set()
             for _ in range(50):
                 p = random_binary_form(rng, d)
-                q = random_binary_form(rng, e)
+                # a rational q, so that a slip in q's denominator shows
+                q = Fraction(1, e + 1) * random_binary_form(rng, e)
                 a_val = apolar_diffop(p, q)
                 t_val = transvectant(p, q, e)
                 if t_val.is_zero():
@@ -231,7 +235,7 @@ def _check_c04(rng: Random):
     return "pass", {"ratio_table": table, "pairs_per_cell": 50}
 
 
-def _check_c05(rng: Random):
+def _check_c05(rng: Random, seed: int):
     for d in range(0, 11):
         for e in range(0, 11):
             parts = cg_components(d, e)
@@ -242,7 +246,7 @@ def _check_c05(rng: Random):
     return "pass", {"degree_bound": 10, "example": {"(6,2)": cg_components(6, 2)}}
 
 
-def _check_c06(rng: Random):
+def _check_c06(rng: Random, seed: int):
     trials = 0
     for _ in range(50):
         g = random_sl_pair(rng)
@@ -264,20 +268,20 @@ def _check_c06(rng: Random):
     return "pass", {"trials": trials, "group": "determinant-1 pairs"}
 
 
-def _grid_samples(check_id, seed, point, n):
+def _grid_samples(check_id, seed, point):
     a, b = point
-    return Random(f"{check_id}|{seed}|{a},{b}"), f"{check_id}|{seed}|{a},{b}", n
+    return Random(f"{check_id}|{seed}|{a},{b}"), f"{check_id}|{seed}|{a},{b}"
 
 
-def _check_c07(rng: Random, seed=0):
+def _check_c07(rng: Random, seed: int):
     grid = {}
     ok_everywhere = True
     for (a, b) in DEGREE_GRID:
-        sub, sub_seed, n = _grid_samples("C07", seed, (a, b), 100)
+        sub, sub_seed = _grid_samples("C07", seed, (a, b))
         target = 2 * a * (b - 1)
         ok = 0
         degenerate = []
-        for k in range(n):
+        for k in range(100):
             f = random_biform(sub, a, b)
             bf = branch_form(f)
             if not bf.is_zero() and bf.degree == target:
@@ -291,14 +295,14 @@ def _check_c07(rng: Random, seed=0):
     return ("pass" if ok_everywhere else "fail"), {"grid": grid, "samples_per_point": 100}
 
 
-def _check_c08(rng: Random, seed=0):
+def _check_c08(rng: Random, seed: int):
     grid = {}
     ok_everywhere = True
     for (a, b) in DEGREE_GRID:
-        sub, sub_seed, n = _grid_samples("C08", seed, (a, b), 100)
+        sub, sub_seed = _grid_samples("C08", seed, (a, b))
         ok = 0
         degenerate = []
-        for k in range(n):
+        for k in range(100):
             f = random_biform(sub, a, b)
             cm = phi_components(f)
             hd = hyperplane_degree(cm, seed=f"{sub_seed}|{k}")
@@ -314,27 +318,27 @@ def _check_c08(rng: Random, seed=0):
     return ("pass" if ok_everywhere else "fail"), {"grid": grid, "samples_per_point": 100}
 
 
-def _check_c09(rng: Random, seed=0):
+def _check_c09(rng: Random, seed: int):
     grid = {}
     for (a, b) in FREENESS_GRID:
-        sub, sub_seed, n = _grid_samples("C09", seed, (a, b), 50)
-        for k in range(n):
+        sub, sub_seed = _grid_samples("C09", seed, (a, b))
+        for k in range(50):
             w = random_subspace(sub, b + 1, a + 1)
             dim = subspace_stabilizer_dim(w)
             if dim != 0:
                 return "fail", {"reason": "subspace stabilizer nonzero", "point": [a, b],
                                 "sample": k, "dim": dim, "seed": sub_seed}
-        for k in range(n):
+        for k in range(50):
             f = random_biform(sub, a, b)
             dim = projective_stabilizer_dim(f)
             if dim != 0:
                 return "fail", {"reason": "biform stabilizer nonzero", "point": [a, b],
                                 "sample": k, "dim": dim, "seed": sub_seed}
-        grid[f"({a},{b})"] = {"subspace_samples": n, "biform_samples": n, "seed": sub_seed}
+        grid[f"({a},{b})"] = {"subspace_samples": 50, "biform_samples": 50, "seed": sub_seed}
     return "pass", {"grid": grid}
 
 
-def _check_c10(rng: Random):
+def _check_c10(rng: Random, seed: int):
     # (i) the second-factor center acts trivially on V_b for even b
     minus = ((-1, 0), (0, -1))
     for b in (0, 2, 4, 6, 8, 10):
@@ -353,7 +357,9 @@ def _check_c10(rng: Random):
                 if act(g, mono) != (-1) ** b * mono:
                     return "fail", {"reason": "second-center scalar", "a": a, "b": b}
     # (iii) odd b: the center acts on the top wedge of an (a+1)-dim subspace
-    # by (-1)^(a+1), and on its Pluecker vector the same way
+    # by (-1)^(a+1), and on its Pluecker vector the same way.  W's basis is
+    # in RREF, so its minor on the pivot rows is 1: a sign or scale that the
+    # ratio of the two Pluecker vectors cancels still shows there.
     samples = []
     for b in PARITY_ODD_B:
         a_mat = matrix_of_binary_action(minus, b)
@@ -365,8 +371,12 @@ def _check_c10(rng: Random):
                     return "fail", {"reason": "top-wedge scalar", "b": b, "dim": dim,
                                     "scalar": scalar}
                 tall = w.basis.transpose()
+                minors = top_minors(tall)
+                subsets = list(combinations(range(b + 1), dim))
+                if minors[subsets.index(tuple(w.pivots()))] != 1:
+                    return "fail", {"reason": "Pluecker pivot minor", "b": b, "dim": dim}
                 acted = a_mat * tall
-                if top_minors(acted) != tuple(Fraction(-1) ** dim * m for m in top_minors(tall)):
+                if top_minors(acted) != tuple(Fraction(-1) ** dim * m for m in minors):
                     return "fail", {"reason": "Pluecker scaling", "b": b, "dim": dim}
                 samples.append([b, dim, k])
     return "pass", {"even_b": [0, 2, 4, 6, 8, 10], "center_degree_bound": 8,
@@ -394,7 +404,7 @@ def _binomial_basis_column(which, i, reference):
     return bitransvectant(e, reference, 1, 2).coeff_vector()
 
 
-def _check_c11(rng: Random):
+def _check_c11(rng: Random, seed: int):
     wit = {}
     reference = BiForm.parse(REFERENCE_12)
 
@@ -468,9 +478,9 @@ def _check_c11(rng: Random):
     return "pass", wit
 
 
-def _check_c12(rng: Random, h_prime_text=None):
+def _check_c12(rng: Random, seed: int):
     h = BiForm.parse(PAIRING_18)
-    h2 = BiForm.parse(h_prime_text or PAIRING_14)
+    h2 = BiForm.parse(PAIRING_14)
     wit = {}
     pairing = bitransvectant(h, h2, 1, 2)
     shortcut = specialized_1s(h, h2, 2)
@@ -526,7 +536,7 @@ def _blocks_invariant(blocks, degree, elements):
     return True
 
 
-def _check_c13(rng: Random):
+def _check_c13(rng: Random, seed: int):
     wit = {}
     swap_xz = G3Element.substitution([(0, 0, 1), (0, 1, 0), (1, 0, 0)])
     scalings = [G3Element([[Fraction(1, t), 0, 0], [0, 1, 0], [0, 0, t]]) for t in (2, 3)]
@@ -568,7 +578,7 @@ def _check_c13(rng: Random):
     return "pass", wit
 
 
-def _check_c14(rng: Random):
+def _check_c14(rng: Random, seed: int):
     points = 0
     for b in range(3, 11):
         for a in range(2, b):
@@ -610,8 +620,6 @@ REGISTRY = {
     "C14": ("dimension bookkeeping of the fibration reductions", _check_c14),
 }
 
-_SEEDED_GRID_CHECKS = {"C07", "C08", "C09"}
-
 
 def run_check(check_id: str, seed: int = 0) -> CheckResult:
     """Run one registry check; deterministic given (check_id, seed)."""
@@ -620,10 +628,7 @@ def run_check(check_id: str, seed: int = 0) -> CheckResult:
     _, fn = REGISTRY[check_id]
     rng = Random(f"{check_id}|{seed}")
     start = perf_counter()
-    if check_id in _SEEDED_GRID_CHECKS:
-        status, witnesses = fn(rng, seed=seed)
-    else:
-        status, witnesses = fn(rng)
+    status, witnesses = fn(rng, seed)
     ms = int((perf_counter() - start) * 1000)
     return CheckResult(check_id, status, _jsonable(witnesses), ms)
 

@@ -16,6 +16,7 @@ from .forms import BiForm, BinaryForm
 from .linalg import QMat, Subspace
 
 COEFF_RANGE = (-9, 9)
+SHEAR_RANGE = (-3, 3)
 
 
 def _random_form(rng, cls, degree, nonzero):
@@ -46,9 +47,9 @@ def random_subspace(rng: Random, ambient_dim: int, dim: int) -> Subspace:
             return w
 
 
-def random_sl2(rng: Random, spread: int = 3) -> QMat:
+def random_sl2(rng: Random) -> QMat:
     """Random determinant-1 2x2 integer matrix: upper, lower and upper shears."""
-    k1, k2, k3 = (rng.randint(-spread, spread) for _ in range(3))
+    k1, k2, k3 = (rng.randint(*SHEAR_RANGE) for _ in range(3))
     return QMat(((1, k1), (0, 1))) * QMat(((1, 0), (k2, 1))) * QMat(((1, k3), (0, 1)))
 
 

@@ -62,9 +62,12 @@ def test_c12_witnesses():
     assert w["fiber_dim_over_V14_point"] == 9
 
 
-def test_c12_perturbed_fixture_fails():
+def test_c12_perturbed_fixture_fails(monkeypatch):
     # corrupting the reference (1,4) form must break the vanishing identity
-    status, witnesses = _check_c12(Random(0), h_prime_text="X1*Y2^4 + Y1*X2^4 + Y1*Y2^4")
+    import biforms.checks as checks_mod
+
+    monkeypatch.setattr(checks_mod, "PAIRING_14", "X1*Y2^4 + Y1*X2^4 + Y1*Y2^4")
+    status, witnesses = _check_c12(Random(0), 0)
     assert status == "fail"
     assert witnesses["pairing_value"] != "0"
 
@@ -173,7 +176,7 @@ def test_c01_fails_with_a_perturbed_transvectant(monkeypatch, perturb, reason):
     real = checks_mod.transvectant
     monkeypatch.setattr(checks_mod, "transvectant",
                         lambda p, q, r: perturb(real(p, q, r), p, q, r))
-    status, wit = checks_mod._check_c01(Random(0))
+    status, wit = checks_mod._check_c01(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == reason
 
@@ -184,7 +187,7 @@ def test_c03_fails_with_swapped_shortcut_operands(monkeypatch):
 
     real = checks_mod.specialized_1s
     monkeypatch.setattr(checks_mod, "specialized_1s", lambda f, g, s: real(g, f, s))
-    status, wit = checks_mod._check_c03(Random(0))
+    status, wit = checks_mod._check_c03(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == "shortcut disagrees" and wit["s"] % 2 == 0
 
@@ -212,7 +215,7 @@ def test_c02_fails_with_wrong_tensor_product(monkeypatch):
         return BiForm.from_coeff_vector((p.degree, q.degree), vec)
 
     monkeypatch.setattr(checks_mod, "tensor_product", transposed)
-    status, wit = checks_mod._check_c02(Random(0))
+    status, wit = checks_mod._check_c02(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == "factorization"
 
@@ -228,7 +231,7 @@ def test_c06_fails_with_wrong_act(monkeypatch):
         return real(GroupPair(g.g1, 2 * g.g2), f)
 
     monkeypatch.setattr(checks_mod, "act", doubled)
-    status, wit = checks_mod._check_c06(Random(0))
+    status, wit = checks_mod._check_c06(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == "equivariance"
 
@@ -245,7 +248,7 @@ def test_c06_fails_with_transposed_g2(monkeypatch):
         return real(GroupPair(g.g1, g.g2.transpose()), f)
 
     monkeypatch.setattr(checks_mod, "act", transposed)
-    status, wit = checks_mod._check_c06(Random(0))
+    status, wit = checks_mod._check_c06(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == "action law"
 
@@ -257,9 +260,31 @@ def test_c10_fails_with_wrong_binary_action_matrix(monkeypatch):
     real = checks_mod.matrix_of_binary_action
     monkeypatch.setattr(checks_mod, "matrix_of_binary_action",
                         lambda g, b: real([[abs(x) for x in row] for row in g], b))
-    status, wit = checks_mod._check_c10(Random(0))
+    status, wit = checks_mod._check_c10(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == "Pluecker scaling"
+
+
+def test_c10_fails_with_negated_minors(monkeypatch):
+    # a sign on every minor cancels in the Pluecker ratio; W's pivot minor sees it
+    import biforms.checks as checks_mod
+
+    real = checks_mod.top_minors
+    monkeypatch.setattr(checks_mod, "top_minors", lambda m: tuple(-x for x in real(m)))
+    status, wit = checks_mod._check_c10(Random(0), 0)
+    assert status == "fail"
+    assert wit["reason"] == "Pluecker pivot minor"
+
+
+def test_c04_fails_with_q_denominator_dropped(monkeypatch):
+    # the operator applied to q cleared of its denominator: off by q's denominator
+    import biforms.checks as checks_mod
+
+    real = checks_mod.apolar_diffop
+    monkeypatch.setattr(checks_mod, "apolar_diffop", lambda p, q: real(p, q._den * q))
+    status, wit = checks_mod._check_c04(Random(0), 0)
+    assert status == "fail"
+    assert wit["reason"] == "ratio not 1"
 
 
 @pytest.mark.parametrize("scale", [lambda q: 2, lambda q: q.degree + 1,
@@ -271,7 +296,7 @@ def test_c04_fails_with_scaled_apolar(monkeypatch, scale):
 
     real = checks_mod.apolar_diffop
     monkeypatch.setattr(checks_mod, "apolar_diffop", lambda p, q: scale(q) * real(p, q))
-    status, wit = checks_mod._check_c04(Random(0))
+    status, wit = checks_mod._check_c04(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == "ratio not 1"
 
@@ -300,7 +325,7 @@ def test_c11_fails_with_a_common_factor_of_the_partials(monkeypatch):
     from biforms import BinaryForm
 
     monkeypatch.setattr(checks_mod, "binary_gcd", lambda f, g: BinaryForm.parse("X"))
-    status, wit = checks_mod._check_c11(Random(0))
+    status, wit = checks_mod._check_c11(Random(0), 0)
     assert status == "fail"
     assert wit["partials_coprime"] is False
 
@@ -311,7 +336,7 @@ def test_c13_fails_when_points_are_dropped(monkeypatch):
 
     real = checks_mod.singular_system
     monkeypatch.setattr(checks_mod, "singular_system", lambda points, d: real(points[:1], d))
-    status, wit = checks_mod._check_c13(Random(0))
+    status, wit = checks_mod._check_c13(Random(0), 0)
     assert status == "fail"
     assert wit["quartic_dim"] == 12
 

@@ -16,7 +16,7 @@ def test_verify_single_check(capsys, tmp_path):
 
 def test_verify_failing_check_exits_1(monkeypatch, capsys):
     monkeypatch.setitem(
-        checks.REGISTRY, "C05", ("stub", lambda rng: ("fail", {"reason": "forced"}))
+        checks.REGISTRY, "C05", ("stub", lambda rng, seed: ("fail", {"reason": "forced"}))
     )
     assert main(["verify", "--check", "C05"]) == 1
 
@@ -65,7 +65,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError('broken\\nhandler')\n"
-    monkeypatch.setitem(checks.REGISTRY, "C05", ("stub", lambda rng: 1 / 0))
+    monkeypatch.setitem(checks.REGISTRY, "C05", ("stub", lambda rng, seed: 1 / 0))
     assert main(["verify", "--check", "C05"]) == 3
     assert capsys.readouterr().err.count("\n") == 1
 
