@@ -36,7 +36,10 @@ coefficient vectors (index k holds X^(d-k) Y^k; a biform's index is
 k1*(b+1) + k2, one map per factor): E sends k to k-1 with weight k, F sends
 k to k+1 with weight d-k, and H is the diagonal d-2k.  Stabilizers are
 computed infinitesimally, as ranks of exact integer systems built from these
-maps.  Finite stabilizer components are checked by explicit candidate
+maps (7 rows for a form, 3 for a subspace), by linalg's _rank: it stops once
+every row holds a pivot, for a generic input within the first 2 * rows
+columns, and finishes a rank-deficient system by replaying its steps on the
+rest.  Finite stabilizer components are checked by explicit candidate
 elements.
 """
 
@@ -44,9 +47,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .forms import BiForm, BinaryForm, TernaryForm
-from .linalg import QMat, Subspace, _bareiss, _int_det, det
+from .linalg import QMat, Subspace, _int_det, _rank, det
 from .poly import MPoly, RING_XYZ
 
 
@@ -259,7 +263,7 @@ def projective_stabilizer_dim(f: BiForm) -> int:
     a, b = f.bidegree
     vec = f._num
     rows = [*_sl2_images(vec, a, b + 1), *_sl2_images(vec, b, 1), [-c for c in vec]]
-    return 7 - len(_bareiss(rows)[0])
+    return 7 - _rank(rows)
 
 
 def subspace_stabilizer_dim(w: Subspace) -> int:
@@ -272,12 +276,13 @@ def subspace_stabilizer_dim(w: Subspace) -> int:
     basis, big = w.basis._num, w.basis._den
     pivots = w.pivots()
     free = [j for j in range(b + 1) if j not in pivots]
+    columns = [(j, [row[j] for row in basis]) for j in free]
     rows = [[], [], []]
     for vec in basis:
         for row, image in zip(rows, _sl2_images(vec, b, 1)):
-            row.extend(big * image[j] - sum(basis[i][j] * image[p] for i, p in enumerate(pivots))
-                       for j in free)
-    return 3 - len(_bareiss(rows)[0])
+            coords = [image[p] for p in pivots]
+            row.extend([big * image[j] - sum(map(mul, coords, column)) for j, column in columns])
+    return 3 - _rank(rows)
 
 
 def det_scalar(g: GroupPair, w: Subspace) -> Fraction:

@@ -5,15 +5,20 @@ is stored like a form: `_num`, a tuple of integer row tuples, over `_den`,
 one positive common denominator, with gcd(den, every entry) = 1, so equality
 and hashing are tuple operations.  `cols` is kept for a matrix without rows
 too, so a 0 x n matrix is not a 0 x 0 one.
-`_make` is the one private constructor; `_reduce`, shared with the forms, is
-the one place that rule is written.  `entries` builds Fractions on each access.
+`_make` is the one private constructor that reduces (`_canonical` wraps a
+pair that is canonical already); `_reduce`, shared with the forms, is the one
+place that rule is written.  `entries` builds Fractions on each access.
 
-Every kernel reads and writes the integers.  Elimination is a fraction-free
-Bareiss forward pass; rref back-substitutes on the integer rows too, dividing
-each updated row by its gcd, and returns its rows over the lcm of the pivots.
-This keeps intermediate integers small at the sizes that occur here.  The
-maximal minors of a tall matrix take no elimination: top_minors builds them
-column by column by Laplace expansion, without division.
+Every kernel reads and writes the integers.  Elimination is one
+fraction-free Bareiss forward pass, _bareiss, over two windows of columns:
+the first 2 * rows, then the rest, brought up to date by replaying the
+recorded steps.  Rank-only callers (_rank) stop once every row holds a
+pivot; rref, det and binary_gcd finish the sweep.  rref back-substitutes on
+the integer rows too, dividing each updated row by its gcd, and returns its
+rows over the lcm of the pivots.  This keeps intermediate integers small at
+the sizes that occur here.  The maximal minors of a tall matrix take no
+elimination: top_minors builds them column by column by Laplace expansion,
+without division.
 
 A Subspace is held in canonical reduced row-echelon form: rows are the basis,
 pivots are 1 with zeros elsewhere in their columns, pivot columns strictly
@@ -67,10 +72,15 @@ class QMat:
     def _make(cls, rows, den, cols=0):
         """rows / den (integer rows of one length, den > 0) as the canonical
         pair; `cols` is the width when there are no rows."""
+        return cls._canonical(*_reduce(rows, den), cols)
+
+    @classmethod
+    def _canonical(cls, num, den, cols=0):
+        """The QMat of a pair that is already canonical (row tuples in a tuple)."""
         new = object.__new__(cls)
-        new._num, new._den = _reduce(rows, den)
-        new.rows = len(new._num)
-        new.cols = len(new._num[0]) if new._num else cols
+        new._num, new._den = num, den
+        new.rows = len(num)
+        new.cols = len(num[0]) if num else cols
         return new
 
     @property
@@ -134,42 +144,70 @@ def _columns(m):
     return list(zip(*m._num)) if m.rows else [()] * m.cols
 
 
-def _bareiss(work):
+def _bareiss(work, complete=True):
     """Fraction-free forward elimination of integer rows, in place.
 
     One-step Bareiss updates with exact integer division by the previous
-    pivot, skipping columns without a pivot.  Returns (pivot columns, sign
-    of the row permutation); the first len(pivots) rows are the echelon rows.
+    pivot, skipping columns without a pivot, over two windows of columns:
+    the first 2 * rows, then the rest.  Each step is recorded as (pivot row,
+    pivot column, pivot, previous pivot) and each row below the pivot row
+    keeps its multiplier in the pivot column, so the second window is first
+    brought up to date by replaying the steps on it.  Unless `complete`, the
+    pass returns once every row holds a pivot (only the pivot count is then
+    meaningful); else it runs to the last column and zeroes the multipliers.
+    Returns (pivot columns, sign of the row permutation); the first
+    len(pivots) rows are the echelon rows.
     """
     rows = len(work)
     cols = len(work[0]) if rows else 0
-    pivots = []
+    steps = []
     sign = 1
     prev = 1
     r = 0
-    for c in range(cols):
-        if r >= rows:
+    width = min(cols, 2 * rows)
+    for lo, hi in ((0, width), (width, cols)):
+        if lo == hi or r == rows and not complete:
             break
-        p = next((i for i in range(r, rows) if work[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            work[r], work[p] = work[p], work[r]
-            sign = -sign
-        wr = work[r]
-        pivot = wr[c]
-        for i in range(r + 1, rows):
-            wi = work[i]
-            wic = wi[c]
-            for j in range(c, cols):
-                q, rem = divmod(pivot * wi[j] - wic * wr[j], prev)
-                if rem:
-                    raise ArithmeticError("Bareiss exact-division invariant broken")
-                wi[j] = q
-        prev = pivot
-        pivots.append(c)
-        r += 1
-    return pivots, sign
+        for step in steps:
+            _apply(work, *step, lo, hi)
+        for c in range(lo, hi):
+            if r == rows:
+                break
+            p = next((i for i in range(r, rows) if work[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                work[r], work[p] = work[p], work[r]
+                sign = -sign
+            pivot = work[r][c]
+            _apply(work, r, c, pivot, prev, c + 1, hi)
+            steps.append((r, c, pivot, prev))
+            prev = pivot
+            r += 1
+    if complete:
+        for sr, sc, _, _ in steps:
+            for wi in work[sr + 1:]:
+                wi[sc] = 0
+    return [c for _, c, _, _ in steps], sign
+
+
+def _apply(work, r, c, pivot, prev, lo, hi):
+    """One Bareiss step on columns lo..hi-1 of the rows below row r: each
+    becomes (pivot * row - m * work[r]) / prev, m its multiplier in column c,
+    every division checked to be exact."""
+    wr = work[r]
+    for wi in work[r + 1:]:
+        m = wi[c]
+        for j in range(lo, hi):
+            q, rem = divmod(pivot * wi[j] - m * wr[j], prev)
+            if rem:
+                raise ArithmeticError("Bareiss exact-division invariant broken")
+            wi[j] = q
+
+
+def _rank(work):
+    """Rank of integer rows (consumed): the forward pass, stopped at full row rank."""
+    return len(_bareiss(work, complete=False)[0])
 
 
 def _int_det(work):
@@ -207,7 +245,7 @@ def rref(m: QMat):
 
 
 def rank(m: QMat) -> int:
-    return len(_bareiss([list(row) for row in m._num])[0])
+    return _rank([list(row) for row in m._num])
 
 
 class Subspace:
@@ -228,7 +266,8 @@ class Subspace:
         if m.cols != ambient_dim:
             raise ValueError("vector length != ambient dimension")
         reduced, rk, _ = rref(m)
-        return cls(ambient_dim, QMat._make(reduced._num[:rk], reduced._den, ambient_dim))
+        # rref's pair is canonical and its rows past the rank are zero: dropping them keeps the gcd
+        return cls(ambient_dim, QMat._canonical(reduced._num[:rk], reduced._den, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim):

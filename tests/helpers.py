@@ -12,7 +12,8 @@ actions (`act_pair`, `act_binary`), the bases, Gauss-Jordan (`rref`,
 `kernel`), `det`, both stabilizer dimensions and the printer `to_text`.
 This module adds only what the benchmark does not need: the Lie action as
 the derivative of substitution, the apolar operator, the singular systems,
-the branch form, a Euclid gcd, the matrix of the binary action, the
+the branch form (by evaluation, by the b = 2 closed form and by a symbolic
+Laplace determinant), a Euclid gcd, the matrix of the binary action, the
 transvectant matrix, the subspace oracles and a cofactor determinant.
 
 The package is touched only at the boundary (`to_dict`, `to_form`, `like`,
@@ -242,6 +243,40 @@ def oracle_branch_form(f, a, b):
         sylvester += [[0] * i + vc + [0] * (n - 1 - i) for i in range(n)]
         points.append((t, oracle.det(sylvester)))
     return {(k, target - k): c for k, c in enumerate(interpolate_lagrange(points)) if c}
+
+
+def oracle_discriminant_b2(f):
+    """Branch form of a biform dict f of bidegree (a, 2) by its closed form:
+    with F = A X2^2 + B X2 Y2 + C Y2^2, Res(dF/dX2, dF/dY2) = 4AC - B^2,
+    a binary dict of degree 2a."""
+    a, b, c = second_pair_coeffs_desc(f, 2)
+    four_ac = oracle.pmul({(0, 0): Fraction(4)}, oracle.pmul(a, c))
+    return oracle.padd(four_ac, oracle.pmul({(0, 0): Fraction(-1)}, oracle.pmul(b, b)))
+
+
+def laplace_det(mat):
+    """Determinant of a square matrix of polynomial dicts ({} is zero) by
+    Laplace expansion along the first row (exponential; small matrices only)."""
+    if len(mat) == 1:
+        return mat[0][0]
+    total = {}
+    for j, entry in enumerate(mat[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+            piece = oracle.pmul(entry, laplace_det(minor))
+            total = oracle.padd(total, {e: -c for e, c in piece.items()} if j % 2 else piece)
+    return total
+
+
+def oracle_symbolic_branch_form(f, b):
+    """Branch form of a biform dict f of bidegree (., b), b >= 2, as the
+    symbolic Sylvester determinant of its second-pair partials: entries are
+    binary dicts in (X1, Y1) and laplace_det expands it."""
+    n = b - 1
+    u = second_pair_coeffs_desc(dict_diff(f, 2), n)
+    v = second_pair_coeffs_desc(dict_diff(f, 3), n)
+    rows = [[{}] * i + w + [{}] * (n - 1 - i) for w in (u, v) for i in range(n)]
+    return laplace_det(rows)
 
 
 def _strip_xy(terms):

@@ -26,16 +26,15 @@ from biforms import (
 )
 from biforms.checks import DEGREE_GRID
 from biforms.curves import CurveMap, _interpolate, gcd_all
-from biforms.poly import MPoly, RING_XY
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair
 from helpers import (
-    dict_diff,
     oracle_binary_gcd,
     oracle_branch_form,
+    oracle_discriminant_b2,
     oracle_singular_system,
+    oracle_symbolic_branch_form,
     oracle_ternary_basis,
     pair_text,
-    second_pair_coeffs_desc,
     to_dict,
     to_form,
 )
@@ -223,49 +222,12 @@ def test_binary_gcd_and_is_squarefree_against_sympy():
                 assert is_squarefree(h) == all(m == 1 for _, m in factors)
 
 
-def _discriminant_oracle(f: BiForm) -> BinaryForm:
-    """Independent closed form for b = 2: Res(dF/dX2, dF/dY2) = 4AC - B^2."""
-    cm = phi_components(f)
-    c0, c1, c2 = cm.components   # F = C Y2^2 + B X2 Y2 + A X2^2 with A=c2, B=c1, C=c0
-    a = cm.source_degree
-    return BinaryForm(2 * a, 4 * (c2.poly * c0.poly) - c1.poly * c1.poly)
-
-
 def test_branch_form_against_closed_form_b2():
     rng = Random("branch-b2")
     for a in (1, 2, 3):
         for _ in range(10):
             f = random_biform(rng, a, 2)
-            assert branch_form(f) == _discriminant_oracle(f)
-
-
-def _symbolic_sylvester_oracle(f: BiForm) -> BinaryForm:
-    """Laplace-expansion resultant of the second-pair partials (small b only)."""
-    a, b = f.bidegree
-    n = b - 1
-    terms = to_dict(f)
-    u = [MPoly(RING_XY, d) for d in second_pair_coeffs_desc(dict_diff(terms, 2), n)]
-    v = [MPoly(RING_XY, d) for d in second_pair_coeffs_desc(dict_diff(terms, 3), n)]
-    zero = MPoly.zero(RING_XY)
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + u + [zero] * (n - 1 - i))
-    for i in range(n):
-        rows.append([zero] * i + v + [zero] * (n - 1 - i))
-
-    def laplace(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        total = MPoly.zero(RING_XY)
-        for j in range(len(mat)):
-            if mat[0][j].is_zero():
-                continue
-            minor = [[row[k] for k in range(len(mat)) if k != j] for row in mat[1:]]
-            piece = mat[0][j] * laplace(minor)
-            total = total + (piece if j % 2 == 0 else -piece)
-        return total
-
-    return BinaryForm(2 * a * n, laplace(rows))
+            assert branch_form(f) == to_form(BinaryForm, 2 * a, oracle_discriminant_b2(to_dict(f)))
 
 
 def test_branch_form_against_symbolic_determinant_b3():
@@ -273,7 +235,8 @@ def test_branch_form_against_symbolic_determinant_b3():
     for a in (1, 2):
         for _ in range(5):
             f = random_biform(rng, a, 3)
-            assert branch_form(f) == _symbolic_sylvester_oracle(f)
+            expected = to_form(BinaryForm, 4 * a, oracle_symbolic_branch_form(to_dict(f), 3))
+            assert branch_form(f) == expected
 
 
 def _assert_matches_oracle(f):

@@ -23,7 +23,7 @@ from biforms import (
 )
 from biforms.forms import embed_first, embed_second, extract_first, extract_second
 from biforms.sampling import random_binary_form
-from helpers import oracle, oracle_ternary_basis
+from helpers import dict_diff, oracle, oracle_ternary_basis, to_dict
 
 
 # (class, degree, a form of that degree, a wrong degree, a negative degree,
@@ -194,11 +194,19 @@ def test_storage_of_other_constructors():
         for f in made:
             assert _is_canonical(f, len(f.coeff_vector()))
             assert type(f).from_poly(f.poly, f._degree) == f
-        assert tensor_product(q, p).poly == q.poly.substitute(
-            [MPoly.variable(RING_BI, v) for v in ("X1", "Y1")]) * p.poly.substitute(
-            [MPoly.variable(RING_BI, v) for v in ("X2", "Y2")])
+        first = {(i, j, 0, 0): c for (i, j), c in to_dict(q).items()}
+        second = {(0, 0, k, l): c for (k, l), c in to_dict(p).items()}
+        assert to_dict(tensor_product(q, p)) == oracle.pmul(first, second)
         if d:
-            assert q.dx().poly == q.poly.diff("X") and q.dy(2).poly == q.poly.diff("Y", 2)
+            assert to_dict(q.dx()) == dict_diff(to_dict(q), 0)
+            assert to_dict(q.dy(2)) == _diff(to_dict(q), 1, 2)
+
+
+def _diff(terms, slot, order):
+    """The order-th partial derivative of a dict in one variable slot, by dict_diff."""
+    for _ in range(order):
+        terms = dict_diff(terms, slot)
+    return terms
 
 
 def test_derivative_orders():
@@ -208,8 +216,8 @@ def test_derivative_orders():
         q = BinaryForm.from_coeff_vector(d, [Fraction(rng.randint(-9, 9), 4) for _ in range(d + 1)])
         assert q.dx(0) == q and q.dy(0) == q
         for k in range(d + 2):
-            assert q.dx(k).poly == (q.poly.diff("X", k) if k else q.poly)
-            assert q.dy(k).poly == (q.poly.diff("Y", k) if k else q.poly)
+            assert to_dict(q.dx(k)) == _diff(to_dict(q), 0, k)
+            assert to_dict(q.dy(k)) == _diff(to_dict(q), 1, k)
         for method in (q.dx, q.dy):
             with pytest.raises(ValueError):
                 method(-1)

@@ -95,7 +95,7 @@ def test_rref_shapes_match_oracle():
                      for _ in range(rows)])
 
     cases = [QMat.zero(rows, cols) for rows, cols in [(1, 1), (3, 5), (5, 3)]]
-    for rows, cols in [(18, 9), (9, 18), (12, 12), (1, 10), (10, 1)]:
+    for rows, cols in [(18, 9), (9, 18), (12, 12), (1, 10), (10, 1), (2, 9), (3, 20), (7, 72)]:
         inner = max(1, min(rows, cols) // 2)
         cases += [
             rand_mat(rng, rows, cols),
@@ -136,14 +136,56 @@ def test_matrices_without_rows_keep_their_width():
     assert singular_system([], 2).dim == 6
 
 
+def _wide_cases(rng):
+    """Wide matrices up to 7 x 72: random ones (almost surely of full row
+    rank in the first 2 * rows columns), ones whose first 2 * rows columns
+    are zero or repeat one column (the rank shows only past them), and
+    rank-deficient products."""
+    cases = []
+    for rows, cols in [(1, 3), (2, 9), (3, 20), (4, 30), (5, 48), (7, 56), (7, 72)]:
+        head = 2 * rows
+        tail = rand_mat(rng, rows, cols - head)
+        column = [rng.randint(-9, 9) for _ in range(rows)]
+        inner = rng.randint(1, rows - 1) if rows > 1 else 1
+        cases += [
+            rand_mat(rng, rows, cols),
+            QMat([[0] * head + list(row) for row in tail.entries]),
+            QMat([[x] * head + list(row) for x, row in zip(column, tail.entries)]),
+            rand_mat(rng, rows, inner, -4, 4) * rand_mat(rng, inner, cols, -4, 4),
+            QMat.zero(rows, cols),
+        ]
+    return cases
+
+
 def test_rank_nullity_randomized():
     rng = Random("rank-nullity")
-    for _ in range(30):
-        m = rand_mat(rng, rng.randint(1, 8), rng.randint(1, 8))
+    cases = [rand_mat(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(30)]
+    for m in cases + _wide_cases(rng):
         ker = kernel_basis(m)
+        assert rank(m) == oracle.rank(m.entries)
         assert rank(m) + ker.dim == m.cols
         for v in ker.basis.entries:
             assert all(x == 0 for x in m.matvec(v))
+
+
+class _Untouchable(int):
+    """An int whose arithmetic and truth value raise: an entry that must not be read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("an entry past full row rank was used")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __floordiv__ = __mod__ = __divmod__ = __rdivmod__ = __neg__ = __bool__ = _refuse
+
+
+def test_rank_stops_at_full_row_rank():
+    # full row rank within the first 6 columns: the other 34 are never read
+    rng = Random("rank-early-stop")
+    head = [[1] + [rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
+    assert oracle.rank(head) == 3
+    m = QMat._make([row + [_Untouchable(7)] * 34 for row in head], 1)
+    assert any(type(x) is _Untouchable for x in m._num[0])
+    assert rank(m) == 3
 
 
 def test_column_space_examples():
