@@ -48,13 +48,13 @@ from .actions import (
     weight_of,
 )
 from .curves import (
-    binary_gcd,
     branch_form,
     hyperplane_degree,
     is_squarefree,
     phi_components,
     singular_system,
     span_dim,
+    sylvester_resultant,
 )
 from .forms import (
     BiForm,
@@ -273,67 +273,55 @@ def _grid_samples(check_id, seed, point):
     return Random(f"{check_id}|{seed}|{a},{b}"), f"{check_id}|{seed}|{a},{b}"
 
 
-def _check_c07(rng: Random, seed: int):
+def _quota_grid(check_id, seed, sample, extra):
+    """Draw 100 biforms per DEGREE_GRID point; pass when sample(f, a, b, key)
+    -> (holds, details) holds for at least 95 at every point.  A failing draw
+    is recorded with its details; extra(a, b) opens each point's witness."""
     grid = {}
     ok_everywhere = True
     for (a, b) in DEGREE_GRID:
-        sub, sub_seed = _grid_samples("C07", seed, (a, b))
-        target = 2 * a * (b - 1)
+        sub, sub_seed = _grid_samples(check_id, seed, (a, b))
         ok = 0
         degenerate = []
         for k in range(100):
             f = random_biform(sub, a, b)
-            bf = branch_form(f)
-            if not bf.is_zero() and bf.degree == target:
+            holds, details = sample(f, a, b, f"{sub_seed}|{k}")
+            if holds:
                 ok += 1
             else:
-                degenerate.append({"sample": k, "form": str(f)})
-        grid[f"({a},{b})"] = {"target_degree": target, "ok": ok,
-                              "degenerate": degenerate, "seed": sub_seed}
-        if ok < 95:
-            ok_everywhere = False
+                degenerate.append({"sample": k, **details, "form": str(f)})
+        grid[f"({a},{b})"] = {**extra(a, b), "ok": ok, "degenerate": degenerate, "seed": sub_seed}
+        ok_everywhere = ok_everywhere and ok >= 95
     return ("pass" if ok_everywhere else "fail"), {"grid": grid, "samples_per_point": 100}
+
+
+def _check_c07(rng: Random, seed: int):
+    def sample(f, a, b, key):
+        bf = branch_form(f)
+        return not bf.is_zero() and bf.degree == 2 * a * (b - 1), {}
+    return _quota_grid("C07", seed, sample, lambda a, b: {"target_degree": 2 * a * (b - 1)})
 
 
 def _check_c08(rng: Random, seed: int):
-    grid = {}
-    ok_everywhere = True
-    for (a, b) in DEGREE_GRID:
-        sub, sub_seed = _grid_samples("C08", seed, (a, b))
-        ok = 0
-        degenerate = []
-        for k in range(100):
-            f = random_biform(sub, a, b)
-            cm = phi_components(f)
-            hd = hyperplane_degree(cm, seed=f"{sub_seed}|{k}")
-            sd = span_dim(cm)
-            if hd == a and sd == a:
-                ok += 1
-            else:
-                degenerate.append({"sample": k, "hyperplane_degree": hd,
-                                   "span_dim": sd, "form": str(f)})
-        grid[f"({a},{b})"] = {"ok": ok, "degenerate": degenerate, "seed": sub_seed}
-        if ok < 95:
-            ok_everywhere = False
-    return ("pass" if ok_everywhere else "fail"), {"grid": grid, "samples_per_point": 100}
+    def sample(f, a, b, key):
+        cm = phi_components(f)
+        hd, sd = hyperplane_degree(cm, seed=key), span_dim(cm)
+        return hd == a and sd == a, {"hyperplane_degree": hd, "span_dim": sd}
+    return _quota_grid("C08", seed, sample, lambda a, b: {})
 
 
 def _check_c09(rng: Random, seed: int):
     grid = {}
     for (a, b) in FREENESS_GRID:
         sub, sub_seed = _grid_samples("C09", seed, (a, b))
-        for k in range(50):
-            w = random_subspace(sub, b + 1, a + 1)
-            dim = subspace_stabilizer_dim(w)
-            if dim != 0:
-                return "fail", {"reason": "subspace stabilizer nonzero", "point": [a, b],
-                                "sample": k, "dim": dim, "seed": sub_seed}
-        for k in range(50):
-            f = random_biform(sub, a, b)
-            dim = projective_stabilizer_dim(f)
-            if dim != 0:
-                return "fail", {"reason": "biform stabilizer nonzero", "point": [a, b],
-                                "sample": k, "dim": dim, "seed": sub_seed}
+        for kind, draw, stabilizer_dim in (
+                ("subspace", lambda: random_subspace(sub, b + 1, a + 1), subspace_stabilizer_dim),
+                ("biform", lambda: random_biform(sub, a, b), projective_stabilizer_dim)):
+            for k in range(50):
+                dim = stabilizer_dim(draw())
+                if dim != 0:
+                    return "fail", {"reason": f"{kind} stabilizer nonzero", "point": [a, b],
+                                    "sample": k, "dim": dim, "seed": sub_seed}
         grid[f"({a},{b})"] = {"subspace_samples": 50, "biform_samples": 50, "seed": sub_seed}
     return "pass", {"grid": grid}
 
@@ -422,7 +410,7 @@ def _check_c11(rng: Random, seed: int):
     wit["branch_form"] = str(branch)
     wit["branch_squarefree"] = is_squarefree(branch)
     gp, gq = generator.pq()
-    wit["partials_coprime"] = binary_gcd(gp, gq).degree == 0
+    wit["partials_coprime"] = sylvester_resultant(gp, gq) != 0
     if not (wit["branch_squarefree"] and wit["partials_coprime"]):
         return "fail", wit
 
@@ -547,28 +535,23 @@ def _check_c13(rng: Random, seed: int):
     torus = [G3Element([[2, 0, 0], [0, 3, 0], [0, 0, Fraction(5, 7)]]),
              G3Element([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 4]])]
 
-    cubic = singular_system([(0, 1, 0)], 3)
-    wit["cubic_dim"] = cubic.dim
-    if cubic.dim != 7 or cubic != _ternary_span(CUBIC_SLICE_SPAN, 3):
-        return "fail", wit
-    if not _blocks_invariant(CUBIC_SLICE_BLOCKS, 3, [swap_xz] + scalings):
-        return "fail", {**wit, "reason": "cubic block not invariant"}
+    systems = (
+        ("cubic", [(0, 1, 0)], 3, 7, CUBIC_SLICE_SPAN, CUBIC_SLICE_BLOCKS, [swap_xz] + scalings),
+        ("conic", [(0, 1, 0)], 2, 3, CONIC_POINT_SPAN, CONIC_BLOCKS, s3 + torus),
+        ("quartic", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 4, 6, QUARTIC_SPAN, QUARTIC_BLOCKS,
+         s3 + torus),
+    )
+    for name, points, degree, dim, span, blocks, elements in systems:
+        system = singular_system(points, degree)
+        wit[f"{name}_dim"] = system.dim
+        if system.dim != dim or system != _ternary_span(span, degree):
+            return "fail", wit
+        if not _blocks_invariant(blocks, degree, elements):
+            return "fail", {**wit, "reason": f"{name} block not invariant"}
+        if name == "quartic":
+            quartic = system
 
-    conic = singular_system([(0, 1, 0)], 2)
-    wit["conic_dim"] = conic.dim
-    if conic.dim != 3 or conic != _ternary_span(CONIC_POINT_SPAN, 2):
-        return "fail", wit
-    if not _blocks_invariant(CONIC_BLOCKS, 2, s3 + torus):
-        return "fail", {**wit, "reason": "conic block not invariant"}
-
-    quartic = singular_system([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 4)
-    wit["quartic_dim"] = quartic.dim
-    if quartic.dim != 6 or quartic != _ternary_span(QUARTIC_SPAN, 4):
-        return "fail", wit
-    if not _blocks_invariant(QUARTIC_BLOCKS, 4, s3 + torus):
-        return "fail", {**wit, "reason": "quartic block not invariant"}
-
-    # the quartic system itself is invariant under permuting the three points
+    # the quartic system is invariant under permuting the three points
     for g in s3:
         for vec in quartic.basis.entries:
             image = act_ternary(g, TernaryForm.from_coeff_vector(4, vec))

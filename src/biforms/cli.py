@@ -28,6 +28,9 @@ from .parsing import ParseError
 from .transvectant import bitransvectant, transvectant, transvectant_matrix
 
 
+MAX_KERNEL_CELLS = 100_000   # matrix entries of `kernel`; the benchmark's largest is 1,296
+
+
 class UsageError(Exception):
     pass
 
@@ -67,7 +70,12 @@ def _cmd_kernel(args):
         a2, b2 = (int(x) for x in args.source.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --source {args.source!r}: expected A,B") from exc
-    m = transvectant_matrix(f, args.r, args.s, (a2, b2))
+    (a, b), r, s = f.bidegree, args.r, args.s
+    cells = (a + a2 - 2 * r + 1) * (b + b2 - 2 * s + 1) * (a2 + 1) * (b2 + 1)
+    if cells > MAX_KERNEL_CELLS:
+        raise UsageError(f"--source {args.source}: a matrix of {cells} entries, "
+                         f"more than {MAX_KERNEL_CELLS}")
+    m = transvectant_matrix(f, r, s, (a2, b2))
     ker = kernel_basis(m)
     basis = [str(BiForm._make((a2, b2), row, ker.basis._den)) for row in ker.basis._num]
     print(f"rank: {m.cols - ker.dim}")

@@ -20,8 +20,9 @@ divisions; the Newton form is expanded on integers and stored over the one
 denominator s^(2(b-1)).  The components, the span and the image subspace
 are slices and reshapes of F's integer vector.
 
-The gcd of two binary forms, which gives the base locus for the hyperplane
-degree and the squarefree test, is read off a Bareiss forward pass on the
+A binary form is squarefree when the Sylvester resultant of its two
+partials is nonzero.  The gcd of two binary forms, which gives the base
+locus for the hyperplane degree, is read off a Bareiss forward pass on the
 same Sylvester rows: they span the gcd's multiples of degree d + e - 1, so
 the last echelon row is the gcd times a power of Y, up to scale.
 
@@ -97,7 +98,7 @@ def image_subspace(f: BiForm) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# binary-form gcd and squarefreeness
+# binary-form gcd
 # ---------------------------------------------------------------------------
 
 def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -141,19 +142,6 @@ def gcd_all(forms) -> BinaryForm:
     return g
 
 
-def is_squarefree(f: BinaryForm) -> bool:
-    """No repeated projective root: gcd of the two partials is constant."""
-    if f.is_zero():
-        return False
-    if f.degree <= 1:
-        return True
-    fx, fy = f.dx(), f.dy()
-    if fx.is_zero() or fy.is_zero():
-        # f is a pure power of Y or X of degree >= 2
-        return False
-    return binary_gcd(fx, fy).degree == 0
-
-
 # ---------------------------------------------------------------------------
 # resultants and branch forms
 # ---------------------------------------------------------------------------
@@ -178,6 +166,15 @@ def sylvester_resultant(p: BinaryForm, q: BinaryForm) -> Fraction:
     # e rows and q's d rows carry the denominators out of the determinant
     rows = _sylvester_rows(list(p._num), list(q._num))
     return Fraction(_int_det(rows), p._den ** e * q._den ** d)
+
+
+def is_squarefree(f: BinaryForm) -> bool:
+    """No repeated projective root: the partials have a nonzero resultant.
+    By Euler's relation their common roots are f's repeated roots; a zero
+    partial gives zero Sylvester rows, so X^d and Y^d are not squarefree."""
+    if f.degree <= 1:
+        return not f.is_zero()
+    return sylvester_resultant(f.dx(), f.dy()) != 0
 
 
 def _interpolate(points):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
+from math import comb, lcm, perm, prod
 
 from .linalg import _integer_row, _reduce
 from .parsing import format_terms, parse_form
@@ -45,11 +45,18 @@ def _monomials(n, d):
     return [(i, *rest) for i in range(d, -1, -1) for rest in _monomials(n - 1, d - i)]
 
 
+MAX_DIM = 10_000   # coefficients of one form; registry, demos, tests and benchmark use <= 121
+
+
 @lru_cache(maxsize=256)
 def _basis(groups, grading):
     """Monomials of degree grading[k] in the k-th group of groups[k]
     consecutive variables, in descending lexicographic order, each mapped
     to its index (read-only: the dict is shared)."""
+    dim = prod(comb(d + n - 1, n - 1) if d >= 0 else 0 for n, d in zip(groups, grading))
+    if dim > MAX_DIM:
+        raise ValueError(f"a form of degree {grading} has {dim} coefficients, "
+                         f"more than {MAX_DIM}")
     out = [()]
     for n, d in zip(groups, grading):
         out = [e + m for e in out for m in _monomials(n, d)]
@@ -139,11 +146,8 @@ class _Form:
         return cls._make(degree, (0,) * len(_basis(cls.groups, cls._grading(degree))), 1)
 
     @classmethod
-    def from_poly(cls, poly, degree=None, *, bidegree=None):
-        """Wrap a homogeneous MPoly; the degree is read off a term when not
-        given.  `bidegree` is BiForm's name for `degree`."""
-        if bidegree is not None:
-            degree = bidegree
+    def from_poly(cls, poly, degree=None):
+        """Wrap a homogeneous MPoly; the degree is read off a term when not given."""
         if degree is None:
             if poly.is_zero():
                 raise ValueError("zero polynomial needs an explicit degree")
@@ -152,8 +156,8 @@ class _Form:
         return cls(degree, poly)
 
     @classmethod
-    def parse(cls, text, degree=None, *, bidegree=None):
-        return cls.from_poly(parse_form(text, cls.ring), degree, bidegree=bidegree)
+    def parse(cls, text, degree=None):
+        return cls.from_poly(parse_form(text, cls.ring), degree)
 
     @property
     def poly(self):

@@ -13,7 +13,8 @@ multiplication: write 3*X^2*Y, never 3X^2Y.  '^' binds tighter than '*',
 which binds tighter than '+'/'-'.  Unary minus is allowed.  Factors nest at
 most MAX_DEPTH deep (each parenthesis and unary minus opens one more), so
 hostile input raises ParseError instead of exhausting the interpreter's
-recursion limit.
+recursion limit.  For the same reason one parse does at most MAX_WORK term
+operations, each counted before it is done.
 
 to_string() prints the canonical form (terms in descending lexicographic
 order); parse -> print -> parse is the identity.
@@ -22,12 +23,24 @@ order); parse -> print -> parse is the identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .poly import MPoly
 
 # Each nesting level costs the recursive-descent parser at most five stack frames;
 # 100 levels stay well inside the default recursion limit of 1000.
 MAX_DEPTH = 100
+# A negation spends the terms it reads, a product the pairs of terms it
+# multiplies, and a power the square of the monomials it can have (more than
+# the pairs its repeated squaring multiplies).  Sums are free: no summand has
+# more terms than the work that made it, or than one atom.  A value's
+# coefficients have about as many bits as its text brings in: its literals'
+# bit lengths, plus k * (b + log2 t) for a k-th power of t terms that bring in
+# b.  So a pair of values that bring in b1 and b2 bits weighs
+# (1 + b1 // WEIGHT_BITS) * (1 + b2 // WEIGHT_BITS).  Every registry, demo,
+# test and benchmark input spends at most 181 term operations.
+MAX_WORK = 100_000
+WEIGHT_BITS = 1024
 
 
 class ParseError(ValueError):
@@ -77,6 +90,8 @@ class _Parser:
         self.pos = 0
         self.ring = ring
         self.depth = 0
+        self.work = 0
+        self.bits = 0   # brought in so far; a value brings in the growth over its text
 
     def peek(self):
         return self.tokens[self.pos]
@@ -92,19 +107,34 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {_describe(tok)}", tok[2])
         return tok
 
+    def spend(self, pos, work):
+        """Count an operation before doing it, and refuse it past MAX_WORK."""
+        self.work += work
+        if self.work > MAX_WORK:
+            raise ParseError(f"input needs more than {MAX_WORK} term operations", pos)
+
     def expr(self):
-        value = self.term()
+        # the summands go into one term map, so a long sum costs its length
+        terms = dict(self.term()._terms)
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            plus = self.next()[0] == "+"
+            for exps, c in self.term()._terms.items():
+                s = terms.get(exps, 0) + (c if plus else -c)
+                if s:
+                    terms[exps] = s
+                else:
+                    del terms[exps]
+        return MPoly._trusted(self.ring, terms)
 
     def term(self):
+        start = self.bits
         value = self.factor()
         while self.peek()[0] == "*":
-            self.next()
-            value = value * self.factor()
+            pos, mid = self.next()[2], self.bits
+            rhs = self.factor()
+            self.spend(pos, len(value._terms) * len(rhs._terms)
+                       * (1 + (mid - start) // WEIGHT_BITS) * (1 + (self.bits - mid) // WEIGHT_BITS))
+            value = value * rhs
         return value
 
     def factor(self):
@@ -112,29 +142,38 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.peek()[2])
         if self.peek()[0] == "-":
-            self.next()
-            value = -self.factor()
+            pos = self.next()[2]
+            value = self.factor()
+            self.spend(pos, len(value._terms))
+            value = -value
         else:
             value = self.power()
         self.depth -= 1
         return value
 
     def power(self):
+        start = self.bits
         base = self.atom()
         if self.peek()[0] == "^":
             self.next()
-            tok = self.expect("int")
-            base = base ** tok[1]
+            _, k, pos = self.expect("int")
+            t = len(base._terms) or 1
+            grown = k * (self.bits - start + (t - 1).bit_length())
+            self.bits += grown
+            self.spend(pos, comb(k + t - 1, k) ** 2 * (1 + grown // WEIGHT_BITS) ** 2)
+            base = base ** k
         return base
 
     def atom(self):
         kind, value, pos = self.next()
         if kind == "int":
+            self.bits += value.bit_length()
             if self.peek()[0] == "/":
                 self.next()
                 dtok = self.expect("int")
                 if dtok[1] == 0:
                     raise ParseError("zero denominator literal", dtok[2])
+                self.bits += dtok[1].bit_length()
                 return MPoly.constant(self.ring, Fraction(value, dtok[1]))
             return MPoly.constant(self.ring, value)
         if kind == "name":

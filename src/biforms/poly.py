@@ -57,7 +57,7 @@ class MPoly:
     def _trusted(cls, ring, terms):
         """Wrap a term map that is already clean: exponent tuples of the ring's
         arity, nonzero Fraction coefficients.  Only for results of the
-        arithmetic below; public construction goes through __init__."""
+        arithmetic on clean term maps; public construction goes through __init__."""
         p = object.__new__(cls)
         p.ring = ring
         p._terms = terms

@@ -19,21 +19,21 @@ COEFF_RANGE = (-9, 9)
 SHEAR_RANGE = (-3, 3)
 
 
-def _random_form(rng, cls, degree, nonzero):
-    """One integer draw per basis index, in basis order; redrawn while zero if nonzero."""
+def _random_form(rng, cls, degree):
+    """One integer draw per basis index, in basis order; redrawn while zero."""
     n = len(cls.zero(degree)._num)
     while True:
         f = cls._make(degree, [rng.randint(*COEFF_RANGE) for _ in range(n)], 1)
-        if not (nonzero and f.is_zero()):
+        if not f.is_zero():
             return f
 
 
-def random_binary_form(rng: Random, d: int, nonzero=True) -> BinaryForm:
-    return _random_form(rng, BinaryForm, d, nonzero)
+def random_binary_form(rng: Random, d: int) -> BinaryForm:
+    return _random_form(rng, BinaryForm, d)
 
 
-def random_biform(rng: Random, a: int, b: int, nonzero=True) -> BiForm:
-    return _random_form(rng, BiForm, (a, b), nonzero)
+def random_biform(rng: Random, a: int, b: int) -> BiForm:
+    return _random_form(rng, BiForm, (a, b))
 
 
 def random_subspace(rng: Random, ambient_dim: int, dim: int) -> Subspace:

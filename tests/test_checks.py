@@ -163,6 +163,36 @@ def test_c07_fails_below_quota(monkeypatch):
     assert len(wit["grid"]["(1,4)"]["degenerate"]) == 100
 
 
+@pytest.mark.parametrize("bad", [5, 6])
+def test_c07_and_c08_allow_five_exceptions_per_point(monkeypatch, bad):
+    # the first `bad` draws fail: C07's by a zero branch form, C08's by a short span
+    import biforms.checks as checks_mod
+    from biforms import BinaryForm
+
+    calls = []
+
+    def first_wrong(real, wrong):
+        def fake(*args):
+            calls.append(args)
+            return wrong if len(calls) <= bad else real(*args)
+        return fake
+
+    monkeypatch.setattr(checks_mod, "DEGREE_GRID", [(1, 4)])
+    monkeypatch.setattr(checks_mod, "branch_form",
+                        first_wrong(checks_mod.branch_form, BinaryForm.zero(6)))
+    monkeypatch.setattr(checks_mod, "span_dim", first_wrong(checks_mod.span_dim, 0))
+    for check in (checks_mod._check_c07, checks_mod._check_c08):
+        calls.clear()
+        status, wit = check(Random(0), 0)
+        point = wit["grid"]["(1,4)"]
+        assert status == ("pass" if bad == 5 else "fail")
+        assert point["ok"] == 100 - bad
+        assert [d["sample"] for d in point["degenerate"]] == list(range(bad))
+    # C08 records what it measured on each exceptional draw
+    assert list(point["degenerate"][0]) == ["sample", "hyperplane_degree", "span_dim", "form"]
+    assert point["degenerate"][0]["span_dim"] == 0
+
+
 @pytest.mark.parametrize("perturb, reason", [
     # both sides of symmetry and bilinearity double too; only T_0 = p*q sees it
     (lambda t, p, q, r: 2 * t, "r=0 product"),
@@ -322,9 +352,8 @@ def test_c08_fails_with_a_spurious_gcd_factor(monkeypatch):
 
 def test_c11_fails_with_a_common_factor_of_the_partials(monkeypatch):
     import biforms.checks as checks_mod
-    from biforms import BinaryForm
 
-    monkeypatch.setattr(checks_mod, "binary_gcd", lambda f, g: BinaryForm.parse("X"))
+    monkeypatch.setattr(checks_mod, "sylvester_resultant", lambda f, g: 0)
     status, wit = checks_mod._check_c11(Random(0), 0)
     assert status == "fail"
     assert wit["partials_coprime"] is False
@@ -346,3 +375,13 @@ def test_summary_counts_match():
     checks.append(CheckResult("C99", "fail", {}, 0))
     report = Report("0.1.0", 0, checks)
     assert report.summary == {"pass": 2, "fail": 1, "degenerate": 0}
+
+
+def test_c13_fails_with_a_block_that_is_not_invariant(monkeypatch):
+    # the 3-cycle X -> Y -> Z -> X sends Y^2 to Z^2, outside span(X^2, Y^2)
+    import biforms.checks as checks_mod
+
+    monkeypatch.setattr(checks_mod, "CONIC_BLOCKS", [["X^2", "Y^2"]])
+    status, wit = checks_mod._check_c13(Random(0), 0)
+    assert status == "fail"
+    assert wit["reason"] == "conic block not invariant"

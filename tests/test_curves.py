@@ -28,6 +28,7 @@ from biforms.checks import DEGREE_GRID
 from biforms.curves import CurveMap, _interpolate, gcd_all
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair
 from helpers import (
+    dict_diff,
     oracle_binary_gcd,
     oracle_branch_form,
     oracle_discriminant_b2,
@@ -202,6 +203,18 @@ def test_binary_gcd_matches_oracle():
     for f, g in _gcd_cases(300):
         assert binary_gcd(f, g) == _oracle_gcd(f, g)
         assert binary_gcd(g, f) == _oracle_gcd(g, f)
+
+
+def test_is_squarefree_matches_the_gcd_route():
+    # the oracle's route: a form of degree >= 2 is squarefree when its partials are coprime
+    for pair in _gcd_cases(300):
+        for h in pair:
+            if h.degree <= 1:
+                expected = not h.is_zero()
+            else:
+                fx, fy = (dict_diff(to_dict(h), slot) for slot in (0, 1))
+                expected = oracle_binary_gcd((h.degree - 1, fx), (h.degree - 1, fy))[0] == 0
+            assert is_squarefree(h) == expected
 
 
 def test_binary_gcd_and_is_squarefree_against_sympy():

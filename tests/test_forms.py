@@ -57,6 +57,10 @@ def test_homogeneity_guards():
                 bad()
 
 
+def test_negative_degrees_have_empty_bases():
+    assert binary_basis(-2) == biform_basis(-2, 0) == biform_basis(1, -1) == ternary_basis(-3) == []
+
+
 def test_zero_form_keeps_degree():
     z = BinaryForm.zero(5)
     assert z.degree == 5 and z.is_zero()

@@ -48,6 +48,22 @@ def test_errors_with_position():
         parse_form("X # Y", RING_XY)
 
 
+def test_work_budget_spans_the_whole_parse():
+    dense = "(X1+Y1)^128*(X2+Y2)^128"
+    assert len(parse_form(dense, RING_BI).terms) == 129 ** 2
+    with pytest.raises(ParseError, match="term operations"):
+        parse_form(dense + "*X1" * 300, RING_BI)
+    with pytest.raises(ParseError, match="term operations"):
+        parse_form("-" * 90 + f"({dense})", RING_BI)
+    # a sum spends its length, not the square of it
+    assert parse_form(" + ".join(["X1"] * 50_000), RING_BI) == parse_form("50000*X1", RING_BI)
+    # the pairs of a product weigh more as its coefficients grow
+    shape = "({c}*X1 + {c}*Y1)*(X1+Y1)^100*({c}*X2 + {c}*Y2)*(X2+Y2)^100"
+    assert len(parse_form(shape.format(c=7), RING_BI).terms) == 102 ** 2
+    with pytest.raises(ParseError, match="term operations"):
+        parse_form(shape.format(c="7" * 1000), RING_BI)
+
+
 def test_parse_print_roundtrip_randomized():
     rng = Random("roundtrip")
     for ring in (RING_XY, RING_BI, RING_XYZ):

@@ -24,12 +24,10 @@ def test_random_forms_draw_one_integer_per_basis_index():
         assert f == BiForm.from_coeff_vector((a, b), [ref.randint(-9, 9) for _ in biform_basis(a, b)])
         g = random_binary_form(rng, b)
         assert g == BinaryForm.from_coeff_vector(b, [ref.randint(-9, 9) for _ in binary_basis(b)])
-    # a zero draw is redrawn, unless zero is allowed
+    # a zero draw is redrawn
     rng = Random(0)
     state = rng.getstate()
     while rng.randint(-9, 9):
         state = rng.getstate()
-    rng.setstate(state)
-    assert random_binary_form(rng, 0, nonzero=False).is_zero()
     rng.setstate(state)
     assert not random_binary_form(rng, 0).is_zero()

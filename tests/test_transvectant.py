@@ -120,7 +120,7 @@ def test_bitransvectant_examples():
     g = BiForm.parse("X1*Y2 - Y1*X2")
     assert bitransvectant(f, g, 0, 0) == BiForm((2, 2), f.poly * g.poly)
     t = bitransvectant(BiForm.parse("X1*X2"), BiForm.parse("Y1*Y2"), 1, 1)
-    assert t == BiForm.parse("1", bidegree=(0, 0))
+    assert t == BiForm.parse("1", (0, 0))
     with pytest.raises(ValueError):
         bitransvectant(f, g, 2, 0)
 
@@ -160,7 +160,7 @@ def test_specialized_1s_examples():
     g = BiForm.parse("X1*Y2^4 + Y1*X2^4")
     assert specialized_1s(f, g, 2).is_zero()
     t = specialized_1s(BiForm.parse("X1*X2^2"), BiForm.parse("Y1*Y2^2"), 2)
-    assert t == BiForm.parse("4", bidegree=(0, 0))
+    assert t == BiForm.parse("4", (0, 0))
     # total order 1 + s is odd for even s, so the pairing of f with itself dies
     assert specialized_1s(f, f, 2).is_zero()
     assert specialized_1s(f, f, 4).is_zero()
