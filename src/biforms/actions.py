@@ -36,10 +36,10 @@ coefficient vectors (index k holds X^(d-k) Y^k; a biform's index is
 k1*(b+1) + k2, one map per factor): E sends k to k-1 with weight k, F sends
 k to k+1 with weight d-k, and H is the diagonal d-2k.  Stabilizers are
 computed infinitesimally, as ranks of exact integer systems built from these
-maps (7 rows for a form, 3 for a subspace), by linalg's _rank: it stops once
-every row holds a pivot, for a generic input within the first 2 * rows
-columns, and finishes a rank-deficient system by replaying its steps on the
-rest.  Finite stabilizer components are checked by explicit candidate
+maps (7 rows for a form, 3 for a subspace), by linalg's _rank: its
+left-looking elimination stops at the column where every row holds a pivot
+and reads no column past it; a rank-deficient system runs to the last
+column.  Finite stabilizer components are checked by explicit candidate
 elements.
 """
 

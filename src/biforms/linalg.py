@@ -10,15 +10,15 @@ pair that is canonical already); `_reduce`, shared with the forms, is the one
 place that rule is written.  `entries` builds Fractions on each access.
 
 Every kernel reads and writes the integers.  Elimination is one
-fraction-free Bareiss forward pass, _bareiss, over two windows of columns:
-the first 2 * rows, then the rest, brought up to date by replaying the
-recorded steps.  Rank-only callers (_rank) stop once every row holds a
-pivot; rref, det and binary_gcd finish the sweep.  rref back-substitutes on
-the integer rows too, dividing each updated row by its gcd, and returns its
-rows over the lcm of the pivots.  This keeps intermediate integers small at
-the sizes that occur here.  The maximal minors of a tall matrix take no
-elimination: top_minors builds them column by column by Laplace expansion,
-without division.
+fraction-free Bareiss forward pass, _bareiss, a left-looking loop over the
+columns: each column is brought up to date by the recorded steps when it is
+reached, then searched for a pivot.  Rank-only callers (_rank) stop at the
+column where every row holds a pivot; rref, det and binary_gcd run to the
+last column.  rref back-substitutes on the integer rows too, dividing each
+updated row by its gcd, and returns its rows over the lcm of the pivots.
+This keeps intermediate integers small at the sizes that occur here.  The
+maximal minors of a tall matrix take no elimination: top_minors builds them
+column by column by Laplace expansion, without division.
 
 A Subspace is held in canonical reduced row-echelon form: rows are the basis,
 pivots are 1 with zeros elsewhere in their columns, pivot columns strictly
@@ -147,62 +147,46 @@ def _columns(m):
 def _bareiss(work, complete=True):
     """Fraction-free forward elimination of integer rows, in place.
 
-    One-step Bareiss updates with exact integer division by the previous
-    pivot, skipping columns without a pivot, over two windows of columns:
-    the first 2 * rows, then the rest.  Each step is recorded as (pivot row,
-    pivot column, pivot, previous pivot) and each row below the pivot row
-    keeps its multiplier in the pivot column, so the second window is first
-    brought up to date by replaying the steps on it.  Unless `complete`, the
-    pass returns once every row holds a pivot (only the pivot count is then
-    meaningful); else it runs to the last column and zeroes the multipliers.
-    Returns (pivot columns, sign of the row permutation); the first
-    len(pivots) rows are the echelon rows.
+    One-step Bareiss with exact integer division by the previous pivot, as
+    one left-looking loop over the columns.  Each step is recorded as (pivot
+    row r, pivot column, pivot, previous pivot), and each row below r keeps
+    its multiplier m in the pivot column.  Column c is first brought up to
+    date by every step in turn: each entry x below row r becomes
+    (pivot * x - m * work[r][c]) / prev, the division checked to be exact.
+    Then its first nonzero entry at or below the next row is the next pivot.
+    Unless `complete`, the loop returns at the column where every row holds
+    a pivot (only the pivot count is then meaningful); else it runs to the
+    last column and zeroes the multipliers.  Returns (pivot columns, sign of
+    the row permutation); the first len(pivots) rows are the echelon rows.
     """
     rows = len(work)
-    cols = len(work[0]) if rows else 0
     steps = []
     sign = 1
     prev = 1
-    r = 0
-    width = min(cols, 2 * rows)
-    for lo, hi in ((0, width), (width, cols)):
-        if lo == hi or r == rows and not complete:
+    for c in range(len(work[0]) if rows else 0):
+        for r, sc, pivot, before in steps:
+            top = work[r][c]
+            for wi in work[r + 1:]:
+                q, rem = divmod(pivot * wi[c] - wi[sc] * top, before)
+                if rem:
+                    raise ArithmeticError("Bareiss exact-division invariant broken")
+                wi[c] = q
+        r = len(steps)
+        p = next((i for i in range(r, rows) if work[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            sign = -sign
+        steps.append((r, c, work[r][c], prev))
+        prev = work[r][c]
+        if r + 1 == rows and not complete:
             break
-        for step in steps:
-            _apply(work, *step, lo, hi)
-        for c in range(lo, hi):
-            if r == rows:
-                break
-            p = next((i for i in range(r, rows) if work[i][c]), None)
-            if p is None:
-                continue
-            if p != r:
-                work[r], work[p] = work[p], work[r]
-                sign = -sign
-            pivot = work[r][c]
-            _apply(work, r, c, pivot, prev, c + 1, hi)
-            steps.append((r, c, pivot, prev))
-            prev = pivot
-            r += 1
     if complete:
-        for sr, sc, _, _ in steps:
-            for wi in work[sr + 1:]:
-                wi[sc] = 0
+        for r, c, _, _ in steps:
+            for wi in work[r + 1:]:
+                wi[c] = 0
     return [c for _, c, _, _ in steps], sign
-
-
-def _apply(work, r, c, pivot, prev, lo, hi):
-    """One Bareiss step on columns lo..hi-1 of the rows below row r: each
-    becomes (pivot * row - m * work[r]) / prev, m its multiplier in column c,
-    every division checked to be exact."""
-    wr = work[r]
-    for wi in work[r + 1:]:
-        m = wi[c]
-        for j in range(lo, hi):
-            q, rem = divmod(pivot * wi[j] - m * wr[j], prev)
-            if rem:
-                raise ArithmeticError("Bareiss exact-division invariant broken")
-            wi[j] = q
 
 
 def _rank(work):

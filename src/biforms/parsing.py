@@ -14,7 +14,8 @@ which binds tighter than '+'/'-'.  Unary minus is allowed.  Factors nest at
 most MAX_DEPTH deep (each parenthesis and unary minus opens one more), so
 hostile input raises ParseError instead of exhausting the interpreter's
 recursion limit.  For the same reason one parse does at most MAX_WORK term
-operations, each counted before it is done.
+operations, each counted before it is done, and an integer literal has at
+most MAX_DIGITS digits.
 
 to_string() prints the canonical form (terms in descending lexicographic
 order); parse -> print -> parse is the identity.
@@ -41,6 +42,8 @@ MAX_DEPTH = 100
 # test and benchmark input spends at most 181 term operations.
 MAX_WORK = 100_000
 WEIGHT_BITS = 1024
+# Python's default int-string limit: a longer literal is refused with its position.
+MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -63,6 +66,8 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)
             tokens.append(("int", int(text[i:j]), i))
             i = j
         elif ch.isalpha() or ch == "_":

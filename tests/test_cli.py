@@ -6,10 +6,11 @@ from time import perf_counter
 
 import pytest
 
-from biforms import checks, cli
+from biforms import checks, cli, forms, parsing
 from biforms.cli import main
 
-GOLDEN_SEED0 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "registry_seed0.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_SEED0 = ROOT / "perfbench" / "data" / "registry_seed0.json"
 
 
 def test_verify_single_check(capsys, tmp_path):
@@ -144,12 +145,23 @@ _LONG_LITERALS = (f"({_BIG}/{_BIG[:-1]}7*X1 + {_BIG[:-2]}9/{_BIG[:-3]}1*Y1)*(X1+
     ["transvect", "--lhs", "(X1+Y1)^128*(X2+Y2)^128" + "*X1" * 300, "--rhs", "X1",
      "--r", "0", "--s", "0"],
     ["transvect", "--lhs", _LONG_LITERALS, "--rhs", "X1", "--r", "0", "--s", "0"],
+    ["transvect", "--lhs", "1" * 4301 + "*X", "--rhs", "X", "--r", "0"],
 ], ids=["huge-exponent", "dense-power", "nested-power", "huge-source",
-        "long-product", "huge-form", "huge-coefficients", "product-chain", "long-literals"])
+        "long-product", "huge-form", "huge-coefficients", "product-chain", "long-literals",
+        "overlong-literal"])
 def test_hostile_input_exits_2_within_1s(argv, capsys):
     code, seconds = _bounded_main(argv)
     assert code == 2, capsys.readouterr().err
     assert seconds < 1
+
+
+def test_readme_states_every_input_limit():
+    text = (ROOT / "README.md").read_text()
+    limits = " ".join(text[text.index("Input limits"):text.index("## Demos")].split())
+    for value, unit in [(parsing.MAX_DEPTH, "deep"), (parsing.MAX_WORK, "term operations"),
+                        (parsing.WEIGHT_BITS, "bits"), (parsing.MAX_DIGITS, "digits"),
+                        (forms.MAX_DIM, "coefficients"), (cli.MAX_KERNEL_CELLS, "entries")]:
+        assert f"{value:,} {unit}" in limits, (value, unit)
 
 
 def test_kernel_command(capsys):

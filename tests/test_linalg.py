@@ -138,9 +138,8 @@ def test_matrices_without_rows_keep_their_width():
 
 def _wide_cases(rng):
     """Wide matrices up to 7 x 72: random ones (almost surely of full row
-    rank in the first 2 * rows columns), ones whose first 2 * rows columns
-    are zero or repeat one column (the rank shows only past them), and
-    rank-deficient products."""
+    rank early), ones whose first 2 * rows columns are zero or repeat one
+    column (the rank shows only late), and rank-deficient products."""
     cases = []
     for rows, cols in [(1, 3), (2, 9), (3, 20), (4, 30), (5, 48), (7, 56), (7, 72)]:
         head = 2 * rows
@@ -185,6 +184,10 @@ def test_rank_stops_at_full_row_rank():
     assert oracle.rank(head) == 3
     m = QMat._make([row + [_Untouchable(7)] * 34 for row in head], 1)
     assert any(type(x) is _Untouchable for x in m._num[0])
+    assert rank(m) == 3
+    # the last pivot in column 2: not even column 3 is read
+    head = [[1, 0, 0], [0, 0, 2], [0, 3, 0]]
+    m = QMat._make([row + [_Untouchable(7)] * 34 for row in head], 1)
     assert rank(m) == 3
 
 

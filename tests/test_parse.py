@@ -46,6 +46,12 @@ def test_errors_with_position():
         parse_form("(X + Y", RING_XY)
     with pytest.raises(ParseError):
         parse_form("X # Y", RING_XY)
+    # a literal past the digit cap is refused by the parser, at its position
+    assert parse_form("9" * 4300 + "*X", RING_XY) == int("9" * 4300) * MPoly.variable(RING_XY, "X")
+    with pytest.raises(ParseError) as err:
+        parse_form("X + " + "1" * 4301 + "*X", RING_XY)
+    assert err.value.position == 4
+    assert "position 4" in str(err.value) and "set_int_max_str_digits" not in str(err.value)
 
 
 def test_work_budget_spans_the_whole_parse():
