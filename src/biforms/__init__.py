@@ -1,11 +1,13 @@
 """Exact-arithmetic toolkit for binary forms and biforms.
 
-Everything is computed over Q with fractions.Fraction scalars: sparse
-multihomogeneous polynomials and their parser, transvectants and
-bi-transvectants, exact linear algebra (reduced echelon forms, kernels,
-Pluecker minors), substitution and derivation actions of 2x2 and 3x3 groups,
-the biform <-> rational space curve dictionary, and a seeded verification
-registry (C01..C14) with a CLI front end.
+Everything is computed exactly over Q; forms and matrices hold integer
+numerators over one denominator, and Fractions appear only at the boundary
+(parsing, coeff_vector, entries).  It covers sparse multihomogeneous
+polynomials and their parser, transvectants and bi-transvectants, exact
+linear algebra (reduced echelon forms, kernels, Pluecker minors),
+substitution and derivation actions of 2x2 and 3x3 groups, the biform <->
+rational space curve dictionary, and a seeded verification registry
+(C01..C14) with a CLI front end.
 """
 
 from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
@@ -16,7 +18,6 @@ from .forms import (
     TernaryForm,
     binary_basis,
     biform_basis,
-    binomial_coeffs,
     from_binomial_coeffs,
     tensor_product,
     ternary_basis,
@@ -44,8 +45,6 @@ from .actions import (
     GroupPair,
     LiePair,
     act,
-    act_binary,
-    act_on_subspace,
     act_ternary,
     det_scalar,
     lie_act,

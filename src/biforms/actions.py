@@ -14,9 +14,9 @@ and G3Element.mat.  One validator, _square, turns a QMat or n rows of n
 rationals into an n x n QMat and checks that it is invertible (or traceless),
 so the functions taking a bare matrix accept either form.
 
-act, act_binary and matrix_of_binary_action run on the integer storage of
-both a form and a matrix g = G / s (G the QMat's integer rows, s its
-denominator): the image of X^(d-k) Y^k is the integer column of
+act and matrix_of_binary_action run on the integer storage of both a form
+and a matrix g = G / s (G the QMat's integer rows, s its denominator): the
+image of X^(d-k) Y^k is the integer column of
 (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, two binomial rows and one
 convolution, built per call only for the exponents k that occur.  A form's
 vector is transformed one variable group at a time, and its denominator
@@ -78,14 +78,6 @@ class GroupPair:
         self.g1 = _square(g1, 2)
         self.g2 = _square(g2, 2)
 
-    @property
-    def is_sl(self):
-        return det(self.g1) == 1 and det(self.g2) == 1
-
-    @classmethod
-    def identity(cls):
-        return cls(QMat.identity(2), QMat.identity(2))
-
     def __mul__(self, other):
         return GroupPair(self.g1 * other.g1, self.g2 * other.g2)
 
@@ -119,12 +111,6 @@ class LiePair:
     def __init__(self, x1, x2):
         self.x1 = _square(x1, 2, traceless=True)
         self.x2 = _square(x2, 2, traceless=True)
-
-    def bracket(self, other):
-        def comm(a, b):
-            ab, ba = (a * b).entries, (b * a).entries
-            return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
-        return LiePair(comm(self.x1, other.x1), comm(self.x2, other.x2))
 
     def __repr__(self):
         return f"LiePair({self.x1}, {self.x2})"
@@ -192,11 +178,6 @@ def act(g: GroupPair, f: BiForm) -> BiForm:
     return _act(f, (g.g1, g.g2))
 
 
-def act_binary(g, f: BinaryForm) -> BinaryForm:
-    """Substitution action of a single 2x2 matrix on a binary form."""
-    return _act(f, (_square(g, 2),))
-
-
 def act_ternary(g: G3Element, f: TernaryForm) -> TernaryForm:
     """Substitution action (X,Y,Z) -> (X,Y,Z).g on a ternary form: the j-th
     variable goes to sum_i g[i][j] * (the i-th variable)."""
@@ -238,7 +219,8 @@ def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
 
 
 def matrix_of_binary_action(g, b: int) -> QMat:
-    """Matrix of act_binary(g, .) on V_b in the canonical monomial basis."""
+    """Matrix of the substitution action of one 2x2 matrix g on V_b, the
+    binary forms of degree b, in the canonical monomial basis."""
     m = _square(g, 2)
     columns = [_power_column(m._num, b, k) for k in range(b + 1)]
     return QMat._make(list(zip(*columns)), m._den ** b)
@@ -298,12 +280,6 @@ def det_scalar(g: GroupPair, w: Subspace) -> Fraction:
     if coords * w.basis != images:
         raise ValueError("subspace is not invariant under g")
     return det(coords)
-
-
-def act_on_subspace(g, w: Subspace) -> Subspace:
-    """Image of a subspace of V_b under the substitution action of g (2x2)."""
-    images = w.basis * matrix_of_binary_action(g, w.ambient_dim - 1).transpose()
-    return Subspace.from_vectors(w.ambient_dim, images._num)
 
 
 def weight_of(f: BiForm, torus_exponents, twist: int):

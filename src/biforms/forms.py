@@ -21,10 +21,9 @@ lexicographic order on exponent tuples, which is also the printing order:
 index k of a binary form holds X^(d-k) Y^k, and index i*(b+1) + k of a
 bidegree-(a,b) biform holds X1^(a-i) Y1^i X2^(b-k) Y2^k.
 
-Binomial-scaled coordinates: a degree-d binary form can be written
-f = sum_i C(d,i) * alpha_i * X^i * Y^(d-i); binomial_coeffs / from_binomial_coeffs
-convert between f and (alpha_0..alpha_d).  Plain monomial coefficients remain
-the storage basis.
+Binomial-scaled coordinates: from_binomial_coeffs builds the degree-d binary
+form f = sum_i C(d,i) * alpha_i * X^i * Y^(d-i) from (alpha_0..alpha_d).
+Plain monomial coefficients remain the storage basis.
 """
 
 from __future__ import annotations
@@ -293,14 +292,6 @@ def embed_second(p: BinaryForm) -> BiForm:
     return BiForm._make((0, p.degree), p._num, p._den)
 
 
-def extract_second(f: BiForm) -> BinaryForm:
-    """Inverse of embed_second on bidegree-(0, b) biforms."""
-    a, b = f.bidegree
-    if a != 0:
-        raise ValueError("form has X1/Y1 content")
-    return BinaryForm._make(b, f._num, f._den)
-
-
 def extract_first(f: BiForm) -> BinaryForm:
     """Inverse of embed_first on bidegree-(a, 0) biforms."""
     a, b = f.bidegree
@@ -315,14 +306,9 @@ def tensor_product(p: BinaryForm, q: BinaryForm) -> BiForm:
                         p._den * q._den)
 
 
-def binomial_coeffs(f: BinaryForm):
-    """Binomial-scaled coordinates (alpha_0..alpha_d), alpha_i attached to X^i*Y^(d-i)."""
-    d = f.degree
-    return [Fraction(f._num[d - i], f._den * comb(d, i)) for i in range(d + 1)]
-
-
 def from_binomial_coeffs(d, alphas) -> BinaryForm:
-    """Inverse of binomial_coeffs: f = sum_i C(d,i)*alpha_i*X^i*Y^(d-i)."""
+    """The binary form f = sum_i C(d,i)*alpha_i*X^i*Y^(d-i) of binomial-scaled
+    coordinates alphas = (alpha_0..alpha_d)."""
     if len(alphas) != d + 1:
         raise ValueError("need d+1 coordinates")
     return BinaryForm._make(d, *_integer_row([comb(d, i) * Fraction(alphas[i])

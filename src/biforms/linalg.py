@@ -90,10 +90,6 @@ class QMat:
         return tuple(tuple(Fraction(x, den) for x in row) for row in self._num)
 
     @classmethod
-    def zero(cls, rows, cols):
-        return cls._make([[0] * cols for _ in range(rows)], 1, cols)
-
-    @classmethod
     def identity(cls, n):
         return cls._make([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
@@ -103,16 +99,6 @@ class QMat:
 
     def transpose(self):
         return QMat._make(_columns(self), self._den, self.rows)
-
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
-    def matvec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        nums, s = _integer_row(v)
-        den = self._den * s
-        return tuple(Fraction(sum(a * b for a, b in zip(row, nums)), den) for row in self._num)
 
     def __mul__(self, other):
         if isinstance(other, QMat):
@@ -252,10 +238,6 @@ class Subspace:
         reduced, rk, _ = rref(m)
         # rref's pair is canonical and its rows past the rank are zero: dropping them keeps the gcd
         return cls(ambient_dim, QMat._canonical(reduced._num[:rk], reduced._den, ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim):
-        return cls(ambient_dim, QMat.zero(0, ambient_dim))
 
     @property
     def dim(self):

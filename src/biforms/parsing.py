@@ -18,7 +18,8 @@ operations, each counted before it is done, and an integer literal has at
 most MAX_DIGITS digits.
 
 to_string() prints the canonical form (terms in descending lexicographic
-order); parse -> print -> parse is the identity.
+order) and refuses a coefficient whose numerator or denominator has more than
+MAX_DIGITS digits; parse -> print -> parse is the identity within that cap.
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ MAX_DEPTH = 100
 # test and benchmark input spends at most 181 term operations.
 MAX_WORK = 100_000
 WEIGHT_BITS = 1024
-# Python's default int-string limit: a longer literal is refused with its position.
+# Python's default int-string limit: a longer literal is refused with its
+# position, and the printer refuses a longer coefficient, so every printed
+# text parses back.
 MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
 
 
 class ParseError(ValueError):
@@ -62,9 +66,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)
@@ -214,6 +218,9 @@ def _monomial_str(ring, exps):
 
 def _coeff_str(c):
     c = abs(c)
+    if c.numerator >= _TOO_LONG or c.denominator >= _TOO_LONG:
+        raise ValueError(f"coefficient longer than {MAX_DIGITS} digits, "
+                         "the longest literal the parser reads")
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -223,7 +230,8 @@ def to_string(p: MPoly) -> str:
 
 
 def format_terms(ring, items) -> str:
-    """Text of (exponents, nonzero Fraction) terms listed in canonical order."""
+    """Text of (exponents, nonzero Fraction) terms listed in canonical order;
+    ValueError for a coefficient longer than MAX_DIGITS digits."""
     pieces = []
     for k, (exps, coeff) in enumerate(items):
         mono = _monomial_str(ring, exps)

@@ -11,7 +11,8 @@ call it directly: the transvectants (`transvectant_pairs`), the substitution
 actions (`act_pair`, `act_binary`), the bases, Gauss-Jordan (`rref`,
 `kernel`), `det`, both stabilizer dimensions and the printer `to_text`.
 This module adds only what the benchmark does not need: the Lie action as
-the derivative of substitution, the apolar operator, the singular systems,
+the derivative of substitution, the commutator of two matrices,
+binomial-scaled coordinates, the apolar operator, the singular systems,
 the branch form (by evaluation, by the b = 2 closed form and by a symbolic
 Laplace determinant), a Euclid gcd, the matrix of the binary action, the
 transvectant matrix, the subspace oracles and a cofactor determinant.
@@ -29,7 +30,7 @@ samplers; the package samples only forms, subspaces and SL2 pairs.
 
 import importlib.util
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 from biforms.actions import GroupPair, LiePair
@@ -133,8 +134,9 @@ def oracle_transvectant_matrix(f, bidegree, r, s, source):
 
 
 def oracle_action_rows(g, b):
-    """Fraction rows of the matrix of act_binary(g, .) on V_b, g as rows:
-    column k is oracle.act_binary on the k-th basis monomial."""
+    """Fraction rows of the matrix of the substitution action of one 2x2
+    matrix g (as rows) on V_b: column k is oracle.act_binary on the k-th
+    basis monomial."""
     basis = oracle.binary_basis(b)
     columns = [oracle.act_binary({e: Fraction(1)}, g) for e in basis]
     return [[col.get(e, Fraction(0)) for col in columns] for e in basis]
@@ -153,6 +155,12 @@ def oracle_lie_act(f, mats):
                      for i in range(2) if m[i][j]}
             total = oracle.padd(total, oracle.pmul(image, dict_diff(f, 2 * k + j)))
     return total
+
+
+def oracle_binomial_coeffs(f, d):
+    """Binomial-scaled coordinates (alpha_0..alpha_d) of a degree-d binary
+    dict f = sum_i C(d,i) * alpha_i * X^i * Y^(d-i)."""
+    return [Fraction(f.get((i, d - i), 0)) / comb(d, i) for i in range(d + 1)]
 
 
 def oracle_apolar_diffop(p, q):
@@ -347,6 +355,12 @@ def oracle_matmul(a, b):
     """The product of two matrices given as rows, on Fractions."""
     columns = list(zip(*b))
     return [list(oracle_matvec(columns, row)) for row in a]
+
+
+def oracle_commutator(a, b):
+    """ab - ba of two square matrices given as rows, on Fractions."""
+    ab, ba = oracle_matmul(a, b), oracle_matmul(b, a)
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
 
 
 def oracle_residual(basis, v):

@@ -133,25 +133,40 @@ _LONG_LITERALS = (f"({_BIG}/{_BIG[:-1]}7*X1 + {_BIG[:-2]}9/{_BIG[:-3]}1*Y1)*(X1+
                   f"*({_BIG}/{_BIG[:-1]}3*X2 + {_BIG[:-1]}1/{_BIG[:-3]}7*Y2)*(X2+Y2)^150")
 
 
-@pytest.mark.parametrize("argv", [
-    ["transvect", "--lhs", "X^99999999999", "--rhs", "X", "--r", "0"],
-    ["transvect", "--lhs", "(X+Y)^20000", "--rhs", "X", "--r", "0"],
-    ["transvect", "--lhs", "((X+Y)^100)^100", "--rhs", "X", "--r", "0"],
-    ["kernel", "--form", "X1*X2", "--r", "0", "--s", "0", "--source", "200,200"],
-    ["transvect", "--lhs", "(X+Y)^399*(X+Y)^399", "--rhs", "X", "--r", "0"],
-    ["transvect", "--lhs", "*".join(["X1^400"] * 5 + ["X2^400"] * 5), "--rhs", "X1",
-     "--r", "0", "--s", "0"],
-    ["transvect", "--lhs", "((9^400)^400)^400*X", "--rhs", "X", "--r", "0"],
-    ["transvect", "--lhs", "(X1+Y1)^128*(X2+Y2)^128" + "*X1" * 300, "--rhs", "X1",
-     "--r", "0", "--s", "0"],
-    ["transvect", "--lhs", _LONG_LITERALS, "--rhs", "X1", "--r", "0", "--s", "0"],
-    ["transvect", "--lhs", "1" * 4301 + "*X", "--rhs", "X", "--r", "0"],
+_WORK = "more than 100000 term operations"
+
+
+# each case names the message fragment that shows which bound refused it
+@pytest.mark.parametrize("argv, message", [
+    (["transvect", "--lhs", "X^99999999999", "--rhs", "X", "--r", "0"],
+     "coefficients, more than 10000"),
+    (["transvect", "--lhs", "(X+Y)^20000", "--rhs", "X", "--r", "0"], _WORK),
+    (["transvect", "--lhs", "((X+Y)^100)^100", "--rhs", "X", "--r", "0"], _WORK),
+    (["kernel", "--form", "X1*X2", "--r", "0", "--s", "0", "--source", "200,200"],
+     "entries, more than 100000"),
+    (["transvect", "--lhs", "(X+Y)^399*(X+Y)^399", "--rhs", "X", "--r", "0"], _WORK),
+    (["transvect", "--lhs", "*".join(["X1^400"] * 5 + ["X2^400"] * 5), "--rhs", "X1",
+      "--r", "0", "--s", "0"], "coefficients, more than 10000"),
+    (["transvect", "--lhs", "((9^400)^400)^400*X", "--rhs", "X", "--r", "0"], _WORK),
+    (["transvect", "--lhs", "(X1+Y1)^128*(X2+Y2)^128" + "*X1" * 300, "--rhs", "X1",
+      "--r", "0", "--s", "0"], _WORK),
+    (["transvect", "--lhs", _LONG_LITERALS, "--rhs", "X1", "--r", "0", "--s", "0"], _WORK),
+    (["transvect", "--lhs", "1" * 4301 + "*X", "--rhs", "X", "--r", "0"],
+     "integer literal longer than 4300 digits (at position 0)"),
+    # a superscript is a digit to str.isdigit but no decimal digit to int
+    (["transvect", "--lhs", "X^²", "--rhs", "X", "--r", "0"],
+     "unexpected character '²' (at position 2)"),
+    # the input is accepted; its 5,000-digit result is refused, not printed
+    (["transvect", "--lhs", f"({'9' * 1000}*X)^5", "--rhs", "X", "--r", "0"],
+     "coefficient longer than 4300 digits"),
 ], ids=["huge-exponent", "dense-power", "nested-power", "huge-source",
         "long-product", "huge-form", "huge-coefficients", "product-chain", "long-literals",
-        "overlong-literal"])
-def test_hostile_input_exits_2_within_1s(argv, capsys):
+        "overlong-literal", "superscript-exponent", "overlong-output"])
+def test_hostile_input_exits_2_within_1s(argv, message, capsys):
     code, seconds = _bounded_main(argv)
-    assert code == 2, capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err
     assert seconds < 1
 
 

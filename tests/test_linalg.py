@@ -20,6 +20,11 @@ from biforms import (
 from helpers import cofactor_det, oracle, oracle_matmul, oracle_matvec, oracle_residual
 
 
+def zeros(rows, cols):
+    """The rows x cols zero matrix, built as the package builds its results."""
+    return QMat._make([[0] * cols for _ in range(rows)], 1, cols)
+
+
 def rand_mat(rng, rows, cols, lo=-9, hi=9):
     return QMat([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
@@ -28,7 +33,7 @@ def test_rref_examples():
     eye = QMat.identity(3)
     reduced, rk, piv = rref(eye)
     assert reduced == eye and rk == 3 and piv == (0, 1, 2)
-    z = QMat.zero(2, 3)
+    z = zeros(2, 3)
     assert rref(z) == (z, 0, ())
     reduced, rk, piv = rref(QMat([[1, 2], [2, 4]]))
     assert reduced == QMat([[1, 2], [0, 0]]) and rk == 1 and piv == (0,)
@@ -94,7 +99,7 @@ def test_rref_shapes_match_oracle():
         return QMat([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)]
                      for _ in range(rows)])
 
-    cases = [QMat.zero(rows, cols) for rows, cols in [(1, 1), (3, 5), (5, 3)]]
+    cases = [zeros(rows, cols) for rows, cols in [(1, 1), (3, 5), (5, 3)]]
     for rows, cols in [(18, 9), (9, 18), (12, 12), (1, 10), (10, 1), (2, 9), (3, 20), (7, 72)]:
         inner = max(1, min(rows, cols) // 2)
         cases += [
@@ -118,21 +123,21 @@ def test_kernel_examples():
 
 def test_matrices_without_rows_keep_their_width():
     # the null space of a 0 x n matrix is all of Q^n
-    full = kernel_basis(QMat.zero(0, 3))
+    full = kernel_basis(zeros(0, 3))
     assert full.ambient_dim == 3 and full.dim == 3
     assert full == Subspace.from_vectors(3, QMat.identity(3).entries)
     assert kernel_basis(QMat([], 2)).dim == 2
-    assert rref(QMat.zero(0, 3))[0] == QMat.zero(0, 3)
-    assert Subspace.from_vectors(3, []) == Subspace.zero(3)
-    assert QMat.zero(0, 3).transpose() == QMat.zero(3, 0)
-    assert QMat.zero(3, 0).transpose() == QMat.zero(0, 3)
-    assert QMat.from_columns([[], []]) == QMat.zero(0, 2)
-    assert QMat.zero(2, 0) * QMat.zero(0, 3) == QMat.zero(2, 3)
-    assert QMat.zero(0, 2) * QMat([[1, 2, 3], [4, 5, 6]]) == QMat.zero(0, 3)
+    assert rref(zeros(0, 3))[0] == zeros(0, 3)
+    assert Subspace.from_vectors(3, []) == Subspace(3, zeros(0, 3))
+    assert zeros(0, 3).transpose() == zeros(3, 0)
+    assert zeros(3, 0).transpose() == zeros(0, 3)
+    assert QMat.from_columns([[], []]) == zeros(0, 2)
+    assert zeros(2, 0) * zeros(0, 3) == zeros(2, 3)
+    assert zeros(0, 2) * QMat([[1, 2, 3], [4, 5, 6]]) == zeros(0, 3)
     with pytest.raises(ValueError):
-        QMat.zero(0, 3) * QMat.identity(2)
+        zeros(0, 3) * QMat.identity(2)
     with pytest.raises(ValueError):
-        Subspace(3, QMat.zero(0, 2))
+        Subspace(3, zeros(0, 2))
     assert singular_system([], 2).dim == 6
 
 
@@ -151,7 +156,7 @@ def _wide_cases(rng):
             QMat([[0] * head + list(row) for row in tail.entries]),
             QMat([[x] * head + list(row) for x, row in zip(column, tail.entries)]),
             rand_mat(rng, rows, inner, -4, 4) * rand_mat(rng, inner, cols, -4, 4),
-            QMat.zero(rows, cols),
+            zeros(rows, cols),
         ]
     return cases
 
@@ -164,7 +169,7 @@ def test_rank_nullity_randomized():
         assert rank(m) == oracle.rank(m.entries)
         assert rank(m) + ker.dim == m.cols
         for v in ker.basis.entries:
-            assert all(x == 0 for x in m.matvec(v))
+            assert not any(oracle_matvec(m.entries, v))
 
 
 class _Untouchable(int):
@@ -193,7 +198,7 @@ def test_rank_stops_at_full_row_rank():
 
 def test_column_space_examples():
     assert column_space(QMat.identity(3)).dim == 3
-    assert column_space(QMat.zero(3, 2)).dim == 0
+    assert column_space(zeros(3, 2)).dim == 0
     w = column_space(QMat([[1], [2]]))
     assert w.dim == 1 and w.contains([1, 2]) and not w.contains([1, 3])
 
@@ -300,7 +305,7 @@ def test_qmat_storage_invariants():
     rng = Random("qmat-storage")
     half = Fraction(1, 2)
     mats = [
-        QMat([]), QMat([[], []]), QMat.zero(0, 3), QMat.zero(3, 0), QMat.zero(2, 3),
+        QMat([]), QMat([[], []]), zeros(0, 3), zeros(3, 0), zeros(2, 3),
         QMat.identity(0), QMat.identity(3),
         QMat([[half, -3], [Fraction(-4, 6), 0]]), QMat([[2, 4], [6, -8]]),
         QMat([[Fraction(2, 3), Fraction(4, 3)]]), QMat([[-7]]),
@@ -313,7 +318,7 @@ def test_qmat_storage_invariants():
         if m.cols:
             derived.append(m * rand_rational_mat(rng, m.cols, 2))
         derived.append(Subspace.from_vectors(m.cols, m.entries).basis if m.rows else m)
-    derived += [QMat.identity(2) * QMat.zero(2, 3), Subspace.zero(4).basis,
+    derived += [QMat.identity(2) * zeros(2, 3), Subspace.from_vectors(4, []).basis,
                 Subspace.from_vectors(3, [[half, 0, -1], [1, 0, -2], [0, Fraction(2, 7), 0]]).basis]
     everything = mats + derived
     for m in everything:
@@ -328,32 +333,27 @@ def test_qmat_storage_invariants():
             assert hash(a) == hash(b)
     assert len(set(same)) == 1
     # a matrix without rows keeps its width, however it was built
-    assert QMat.zero(0, 3) == QMat([], 3) != QMat([]) and QMat.zero(0, 3).cols == 3
-    assert hash(QMat.zero(0, 3)) != hash(QMat.zero(0, 2))
-    assert QMat.zero(3, 0) == QMat([[], [], []]) != QMat([])
+    assert zeros(0, 3) == QMat([], 3) != QMat([]) and zeros(0, 3).cols == 3
+    assert hash(zeros(0, 3)) != hash(zeros(0, 2))
+    assert zeros(3, 0) == QMat([[], [], []]) != QMat([])
     assert repr(QMat([[half, -2]])) == "QMat([['1/2', '-2']])"
-    assert repr(QMat.zero(0, 3)) == "QMat([], cols=3)" != repr(QMat([]))
+    assert repr(zeros(0, 3)) == "QMat([], cols=3)" != repr(QMat([]))
     with pytest.raises(ValueError):
         QMat([[1, 2], [3]])
 
 
-def test_matvec_and_products_match_fraction_oracle():
+def test_products_match_fraction_oracle():
     rng = Random("qmat-products")
     for _ in range(60):
         rows, inner, cols = rng.randint(1, 5), rng.randint(0, 5), rng.randint(1, 5)
         make = rand_rational_mat if rng.random() < 0.6 else rand_mat
         m, n = make(rng, rows, inner), make(rng, inner, cols)
         entries = [list(r) for r in m.entries]
-        for v in ([rng.randint(-9, 9) for _ in range(inner)],
-                  [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(inner)]):
-            assert m.matvec(v) == oracle_matvec(entries, v)
         assert [list(r) for r in (m * n).entries] == oracle_matmul(entries, n.entries)
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         assert (c * m).entries == (m * c).entries == tuple(tuple(c * x for x in r) for r in entries)
         with pytest.raises(ValueError):
-            m.matvec([1] * (inner + 1))
-        with pytest.raises(ValueError):
-            m * QMat.zero(inner + 1, 2)
+            m * zeros(inner + 1, 2)
 
 
 def test_residual_and_contains_match_fraction_oracle():

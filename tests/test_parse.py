@@ -46,6 +46,9 @@ def test_errors_with_position():
         parse_form("(X + Y", RING_XY)
     with pytest.raises(ParseError):
         parse_form("X # Y", RING_XY)
+    with pytest.raises(ParseError) as err:
+        parse_form("X^²", RING_XY)  # a digit to str.isdigit, not a decimal one
+    assert err.value.position == 2
     # a literal past the digit cap is refused by the parser, at its position
     assert parse_form("9" * 4300 + "*X", RING_XY) == int("9" * 4300) * MPoly.variable(RING_XY, "X")
     with pytest.raises(ParseError) as err:
@@ -89,3 +92,12 @@ def test_print_forms():
     assert to_string(MPoly.zero(RING_XY)) == "0"
     assert to_string(parse_form("-X - 1", RING_XY)) == "-X - 1"
     assert to_string(parse_form("X2^2*Y1", RING_BI)) == "Y1*X2^2"
+    # the printer's digit cap is the parser's, so whatever prints parses back
+    x = parse_form("X", RING_XY)
+    c = Fraction(10 ** 4300 - 1, 2 ** 14282)   # 4,300 digits above and below the bar
+    assert all(10 ** 4299 <= n < 10 ** 4300 for n in (c.numerator, c.denominator))
+    longest = MPoly.constant(RING_XY, c) * x
+    assert parse_form(to_string(longest), RING_XY) == longest
+    for c in (Fraction(10 ** 4300, 7), Fraction(7, 10 ** 4300)):
+        with pytest.raises(ValueError, match="longer than 4300 digits"):
+            to_string(MPoly.constant(RING_XY, c) * x)
