@@ -36,11 +36,14 @@ coefficient vectors (index k holds X^(d-k) Y^k; a biform's index is
 k1*(b+1) + k2, one map per factor): E sends k to k-1 with weight k, F sends
 k to k+1 with weight d-k, and H is the diagonal d-2k.  Stabilizers are
 computed infinitesimally, as ranks of exact integer systems built from these
-maps (7 rows for a form, 3 for a subspace), by linalg's _rank: its
-left-looking elimination stops at the column where every row holds a pivot
-and reads no column past it; a rank-deficient system runs to the last
-column.  Finite stabilizer components are checked by explicit candidate
-elements.
+maps (7 rows for a form, 3 for a subspace), by linalg's _rank.  Each system
+is handed over as a lazy sequence of column blocks: a form's first 14
+columns (twice its rows), then the rest; a subspace's columns one basis
+vector of W at a time.  The left-looking elimination stops at the column
+where every row holds a pivot, so a block past it is never built, and a
+generic system is built only in part; a rank-deficient one builds and reads
+every block.  Finite stabilizer components are checked by explicit
+candidate elements.
 """
 
 from __future__ import annotations
@@ -226,30 +229,43 @@ def matrix_of_binary_action(g, b: int) -> QMat:
     return QMat._make(list(zip(*columns)), m._den ** b)
 
 
-def _sl2_images(vec, d, step):
+def _sl2_images(vec, d, step, lo=0, hi=None):
     """(X d/dY, Y d/dX, H) images of an integer coefficient vector whose acted-on
-    factor has degree d and Y-exponent k = i // step % (d + 1) at index i."""
-    ks = [i // step % (d + 1) for i in range(len(vec))]
-    e = [(k + 1) * vec[i + step] if k < d else 0 for i, k in enumerate(ks)]
-    f = [(d - k + 1) * vec[i - step] if k else 0 for i, k in enumerate(ks)]
-    return e, f, [(d - 2 * k) * c for k, c in zip(ks, vec)]
+    factor has degree d and Y-exponent k = i // step % (d + 1) at index i, at
+    the indices lo <= i < hi (all of them by default)."""
+    e, f, h = [], [], []
+    for i in range(lo, len(vec) if hi is None else hi):
+        k = i // step % (d + 1)
+        e.append((k + 1) * vec[i + step] if k < d else 0)
+        f.append((d - k + 1) * vec[i - step] if k else 0)
+        h.append((d - 2 * k) * vec[i])
+    return e, f, h
 
 
 def projective_stabilizer_dim(f: BiForm) -> int:
     """Dimension of {(x, c) in (sl2 x sl2) x Q : lie_act(x, f) = c f}.
 
     Zero means the projective stabilizer of [f] is infinitesimally trivial.
+    The 7-row system is built in column blocks, its first 14 columns and
+    then the rest (one block when there are no more than 14); the second is
+    built only if the first leaves the rank short.
     """
     if f.is_zero():
         raise ValueError("zero form")
     a, b = f.bidegree
     vec = f._num
-    rows = [*_sl2_images(vec, a, b + 1), *_sl2_images(vec, b, 1), [-c for c in vec]]
-    return 7 - _rank(rows)
+    n = len(vec)
+    cuts = (0, 14, n) if n > 14 else (0, n)
+    return 7 - _rank([*_sl2_images(vec, a, b + 1, lo, hi), *_sl2_images(vec, b, 1, lo, hi),
+                      [-c for c in vec[lo:hi]]] for lo, hi in zip(cuts, cuts[1:]))
 
 
 def subspace_stabilizer_dim(w: Subspace) -> int:
-    """Dimension of {x in sl2 : x . W <= W} for W a subspace of V_b."""
+    """Dimension of {x in sl2 : x . W <= W} for W a subspace of V_b.
+
+    The 3-row system has one column block per basis vector of W, built only
+    when the blocks before it leave the rank short.
+    """
     b = w.ambient_dim - 1
     if w.dim == 0 or w.dim == w.ambient_dim:
         raise ValueError("subspace must be proper and nonzero")
@@ -259,12 +275,14 @@ def subspace_stabilizer_dim(w: Subspace) -> int:
     pivots = w.pivots()
     free = [j for j in range(b + 1) if j not in pivots]
     columns = [(j, [row[j] for row in basis]) for j in free]
-    rows = [[], [], []]
-    for vec in basis:
-        for row, image in zip(rows, _sl2_images(vec, b, 1)):
+
+    def block(vec):
+        out = []
+        for image in _sl2_images(vec, b, 1):
             coords = [image[p] for p in pivots]
-            row.extend([big * image[j] - sum(map(mul, coords, column)) for j, column in columns])
-    return 3 - _rank(rows)
+            out.append([big * image[j] - sum(map(mul, coords, column)) for j, column in columns])
+        return out
+    return 3 - _rank(map(block, basis))
 
 
 def det_scalar(g: GroupPair, w: Subspace) -> Fraction:

@@ -118,7 +118,7 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if d + e == 0:
         return BinaryForm._make(0, (1,), 1)
     work = _sylvester_rows(list(f._num), list(g._num))
-    rk = len(_bareiss(work)[0])
+    rk = len(_bareiss([work])[0])
     return _monic(BinaryForm._make(d + e - rk, work[rk - 1][rk - 1:], 1))
 
 

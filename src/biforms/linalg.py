@@ -12,10 +12,14 @@ place that rule is written.  `entries` builds Fractions on each access.
 Every kernel reads and writes the integers.  Elimination is one
 fraction-free Bareiss forward pass, _bareiss, a left-looking loop over the
 columns: each column is brought up to date by the recorded steps when it is
-reached, then searched for a pivot.  Rank-only callers (_rank) stop at the
-column where every row holds a pivot; rref, det and binary_gcd run to the
-last column.  rref back-substitutes on the integer rows too, dividing each
-updated row by its gcd, and returns its rows over the lcm of the pivots.
+reached, then searched for a pivot.  The rows arrive in column blocks, the
+first as the rows themselves and each later one pulled from a lazy iterable
+only once the columns before it are done; its segments are appended in the
+rows' original order, since pivot swaps permute the rows.  Rank-only
+callers (_rank) stop at the column where every row holds a pivot, so a block
+past it is never built; rref, det and binary_gcd pass one block and run to
+the last column.  rref back-substitutes on the integer rows too, dividing
+each updated row by its gcd, and returns its rows over the lcm of the pivots.
 This keeps intermediate integers small at the sizes that occur here.  The
 maximal minors of a tall matrix take no elimination: top_minors builds them
 column by column by Laplace expansion, without division.
@@ -130,44 +134,63 @@ def _columns(m):
     return list(zip(*m._num)) if m.rows else [()] * m.cols
 
 
-def _bareiss(work, complete=True):
-    """Fraction-free forward elimination of integer rows, in place.
+def _bareiss(blocks, complete=True):
+    """Fraction-free forward elimination of integer rows given as column blocks.
 
     One-step Bareiss with exact integer division by the previous pivot, as
-    one left-looking loop over the columns.  Each step is recorded as (pivot
-    row r, pivot column, pivot, previous pivot), and each row below r keeps
-    its multiplier m in the pivot column.  Column c is first brought up to
-    date by every step in turn: each entry x below row r becomes
-    (pivot * x - m * work[r][c]) / prev, the division checked to be exact.
-    Then its first nonzero entry at or below the next row is the next pivot.
-    Unless `complete`, the loop returns at the column where every row holds
-    a pivot (only the pivot count is then meaningful); else it runs to the
+    one left-looking loop over the columns.  `blocks` yields lists of row
+    segments, one segment per row; the first block is `work`, the rows
+    eliminated in place.  A later block is pulled only when every column so
+    far is done, and its segments are appended to the rows of `work` in the
+    rows' original order (pivot swaps permute `work`).  Each step is
+    recorded as (pivot row r, pivot column, pivot, previous pivot), and each
+    row below r keeps its multiplier m in the pivot column.  Column c is
+    first brought up to date by every step in turn: each entry x below row r
+    becomes (pivot * x - m * work[r][c]) / prev, the division checked to be
+    exact.  Then its first nonzero entry at or below the next row is the
+    next pivot.  Unless `complete`, the loop returns at the column where
+    every row holds a pivot, so no later column is read and no later block
+    is built (only the pivot count is then meaningful); else it runs to the
     last column and zeroes the multipliers.  Returns (pivot columns, sign of
-    the row permutation); the first len(pivots) rows are the echelon rows.
+    the row permutation); the first len(pivots) rows of `work` are the
+    echelon rows.
     """
+    blocks = iter(blocks)
+    work = next(blocks)
     rows = len(work)
+    order = list(range(rows))
     steps = []
     sign = 1
     prev = 1
-    for c in range(len(work[0]) if rows else 0):
-        for r, sc, pivot, before in steps:
-            top = work[r][c]
-            for wi in work[r + 1:]:
-                q, rem = divmod(pivot * wi[c] - wi[sc] * top, before)
-                if rem:
-                    raise ArithmeticError("Bareiss exact-division invariant broken")
-                wi[c] = q
-        r = len(steps)
-        p = next((i for i in range(r, rows) if work[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            work[r], work[p] = work[p], work[r]
-            sign = -sign
-        steps.append((r, c, work[r][c], prev))
-        prev = work[r][c]
-        if r + 1 == rows and not complete:
+    start = 0
+    while True:
+        end = len(work[0]) if rows else 0
+        for c in range(start, end):
+            for r, sc, pivot, before in steps:
+                top = work[r][c]
+                for wi in work[r + 1:]:
+                    q, rem = divmod(pivot * wi[c] - wi[sc] * top, before)
+                    if rem:
+                        raise ArithmeticError("Bareiss exact-division invariant broken")
+                    wi[c] = q
+            r = len(steps)
+            p = next((i for i in range(r, rows) if work[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                work[r], work[p] = work[p], work[r]
+                order[r], order[p] = order[p], order[r]
+                sign = -sign
+            steps.append((r, c, work[r][c], prev))
+            prev = work[r][c]
+            if r + 1 == rows and not complete:
+                return [c for _, c, _, _ in steps], sign
+        block = next(blocks, None)
+        if block is None:
             break
+        start = end
+        for wi, i in zip(work, order):
+            wi.extend(block[i])
     if complete:
         for r, c, _, _ in steps:
             for wi in work[r + 1:]:
@@ -175,16 +198,17 @@ def _bareiss(work, complete=True):
     return [c for _, c, _, _ in steps], sign
 
 
-def _rank(work):
-    """Rank of integer rows (consumed): the forward pass, stopped at full row rank."""
-    return len(_bareiss(work, complete=False)[0])
+def _rank(blocks):
+    """Rank of integer rows given as column blocks (consumed, see _bareiss):
+    the forward pass, stopped at full row rank before any later block is built."""
+    return len(_bareiss(blocks, complete=False)[0])
 
 
 def _int_det(work):
     """Determinant of a square matrix given as integer rows (consumed)."""
     if not work:
         return 1
-    pivots, sign = _bareiss(work)
+    pivots, sign = _bareiss([work])
     return sign * work[-1][-1] if len(pivots) == len(work) else 0
 
 
@@ -196,7 +220,7 @@ def rref(m: QMat):
     result holds row i times L / pivot_i over L, the lcm of the pivots.
     """
     work = [list(row) for row in m._num]
-    pivots, _ = _bareiss(work)
+    pivots, _ = _bareiss([work])
     rank = len(pivots)
     echelon = work[:rank]
     for i in range(rank - 1, -1, -1):
@@ -215,7 +239,7 @@ def rref(m: QMat):
 
 
 def rank(m: QMat) -> int:
-    return _rank([list(row) for row in m._num])
+    return _rank([[list(row) for row in m._num]])
 
 
 class Subspace:

@@ -66,9 +66,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdecimal():
+        if "0" <= ch <= "9":   # ASCII only: str.isdecimal() also takes other scripts' digits
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i)

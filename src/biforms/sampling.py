@@ -5,6 +5,13 @@ random.Random instance, so every sampled object is reproducible from the seed
 recorded in a report.  Generators that must return nonzero/full-rank objects
 resample (the degenerate draws have vanishing probability but the loop keeps
 the contracts unconditional).
+
+Every integer here is drawn by _draws, which makes the draws of rng.randint(lo,
+hi) without its call layers: randint is randrange(lo, hi + 1), which adds lo
+to _randbelow(n), n = hi - lo + 1, and _randbelow draws getrandbits(k), k =
+n.bit_length(), until the value is below n.  So the values and the state of
+rng afterwards are those of the same randint calls, and a seed gives the
+same objects either way.
 """
 
 from __future__ import annotations
@@ -13,17 +20,31 @@ from random import Random
 
 from .actions import GroupPair
 from .forms import BiForm, BinaryForm
-from .linalg import QMat, Subspace
+from .linalg import QMat, Subspace, rref
 
 COEFF_RANGE = (-9, 9)
 SHEAR_RANGE = (-3, 3)
+
+
+def _draws(rng, count, lo, hi):
+    """count integers in [lo, hi]: the values and stream of as many rng.randint(lo, hi)."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
 
 
 def _random_form(rng, cls, degree):
     """One integer draw per basis index, in basis order; redrawn while zero."""
     n = len(cls.zero(degree)._num)
     while True:
-        f = cls._make(degree, [rng.randint(*COEFF_RANGE) for _ in range(n)], 1)
+        f = cls._make(degree, _draws(rng, n, *COEFF_RANGE), 1)
         if not f.is_zero():
             return f
 
@@ -41,15 +62,17 @@ def random_subspace(rng: Random, ambient_dim: int, dim: int) -> Subspace:
     if not 0 <= dim <= ambient_dim:
         raise ValueError(f"no {dim}-dimensional subspace of Q^{ambient_dim}")
     while True:
-        rows = [[rng.randint(*COEFF_RANGE) for _ in range(ambient_dim)] for _ in range(dim)]
-        w = Subspace.from_vectors(ambient_dim, rows)
-        if w.dim == dim:
-            return w
+        flat = _draws(rng, ambient_dim * dim, *COEFF_RANGE)
+        rows = [flat[i * ambient_dim:(i + 1) * ambient_dim] for i in range(dim)]
+        # full rank: rref's rows are the canonical basis, with no zero row to drop
+        basis, rk, _ = rref(QMat._make(rows, 1, ambient_dim))
+        if rk == dim:
+            return Subspace(ambient_dim, basis)
 
 
 def random_sl2(rng: Random) -> QMat:
     """Random determinant-1 2x2 integer matrix: upper, lower and upper shears."""
-    k1, k2, k3 = (rng.randint(*SHEAR_RANGE) for _ in range(3))
+    k1, k2, k3 = _draws(rng, 3, *SHEAR_RANGE)
     return QMat(((1, k1), (0, 1))) * QMat(((1, 0), (k2, 1))) * QMat(((1, k3), (0, 1)))
 
 

@@ -235,6 +235,19 @@ def test_c09_fails_on_a_form_with_a_stabilizer(monkeypatch):
     assert wit["point"] == [1, 5] and wit["dim"] == 1
 
 
+def test_c09_fails_on_a_subspace_with_a_stabilizer(monkeypatch):
+    # the span of the first a + 1 monomials is stable under the Borel subalgebra
+    import biforms.checks as checks_mod
+    from biforms import Subspace
+
+    monkeypatch.setattr(checks_mod, "random_subspace", lambda rng, n, k: Subspace.from_vectors(
+        n, [[int(i == j) for i in range(n)] for j in range(k)]))
+    status, wit = checks_mod._check_c09(Random(0), seed=0)
+    assert status == "fail"
+    assert wit["reason"] == "subspace stabilizer nonzero"
+    assert wit["point"] == [1, 5] and wit["sample"] == 0 and wit["dim"] == 2
+
+
 def test_c02_fails_with_wrong_tensor_product(monkeypatch):
     # the outer product laid out with q's index outermost: the wrong basis order
     import biforms.checks as checks_mod

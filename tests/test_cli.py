@@ -156,12 +156,15 @@ _WORK = "more than 100000 term operations"
     # a superscript is a digit to str.isdigit but no decimal digit to int
     (["transvect", "--lhs", "X^²", "--rhs", "X", "--r", "0"],
      "unexpected character '²' (at position 2)"),
+    # an Arabic-Indic three is a decimal digit to str.isdecimal, but no ASCII literal
+    (["transvect", "--lhs", "X^\u0663 + \u0664*Y^3", "--rhs", "X", "--r", "0"],
+     "unexpected character '\u0663' (at position 2)"),
     # the input is accepted; its 5,000-digit result is refused, not printed
     (["transvect", "--lhs", f"({'9' * 1000}*X)^5", "--rhs", "X", "--r", "0"],
      "coefficient longer than 4300 digits"),
 ], ids=["huge-exponent", "dense-power", "nested-power", "huge-source",
         "long-product", "huge-form", "huge-coefficients", "product-chain", "long-literals",
-        "overlong-literal", "superscript-exponent", "overlong-output"])
+        "overlong-literal", "superscript-exponent", "non-ascii-digit", "overlong-output"])
 def test_hostile_input_exits_2_within_1s(argv, message, capsys):
     code, seconds = _bounded_main(argv)
     err = capsys.readouterr().err

@@ -17,6 +17,7 @@ from biforms import (
     top_minors,
 )
 
+from biforms.linalg import _rank
 from helpers import cofactor_det, oracle, oracle_matmul, oracle_matvec, oracle_residual
 
 
@@ -194,6 +195,45 @@ def test_rank_stops_at_full_row_rank():
     head = [[1, 0, 0], [0, 0, 2], [0, 3, 0]]
     m = QMat._make([row + [_Untouchable(7)] * 34 for row in head], 1)
     assert rank(m) == 3
+
+
+def _cut(rows, bounds):
+    """The column blocks of integer rows between consecutive bounds."""
+    return [[row[lo:hi] for row in rows] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_block_fed_rank_matches_oracle():
+    # a later block is appended in the rows' original order, whatever the swaps
+    assert _rank(_cut([[0, 1], [1, 0], [0, 0]], (0, 1, 2))) == 2
+    assert _rank(_cut([[0, 0, 1], [0, 1, 0], [1, 0, 0]], (0, 1, 2, 3))) == 3
+    rng = Random("block-rank")
+    swapped = 0
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 10)
+        k = rng.randint(0, min(rows, cols))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+        m = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+             for i in range(rows)]
+        if rng.random() < 0.5:   # leading zeros in the top row: a pivot swap comes early
+            z = rng.randint(1, cols)
+            m[0] = [0] * z + m[0][z:]
+        bounds = sorted({0, cols, *rng.sample(range(1, cols + 1), rng.randint(0, cols))})
+        swapped += len(bounds) > 2 and not m[0][0] and any(row[0] for row in m)
+        assert _rank(_cut(m, bounds)) == oracle.rank(m), (m, bounds)
+    assert swapped >= 20
+
+
+def test_block_after_full_row_rank_is_never_pulled():
+    def blocks(*given):
+        yield from given
+        raise AssertionError("a block past full row rank was built")
+
+    assert _rank(blocks([[0, 1, 5], [1, 0, 7]])) == 2
+    # a pivot swap in the first block, full row rank in the second
+    assert _rank(blocks([[0], [1]], [[1], [0]])) == 2
+    # a zero first block, full row rank in the third
+    assert _rank(blocks([[0], [0]], [[1], [2]], [[3], [5]])) == 2
 
 
 def test_column_space_examples():

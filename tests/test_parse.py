@@ -49,6 +49,9 @@ def test_errors_with_position():
     with pytest.raises(ParseError) as err:
         parse_form("X^²", RING_XY)  # a digit to str.isdigit, not a decimal one
     assert err.value.position == 2
+    with pytest.raises(ParseError) as err:
+        parse_form("X^3 + \u0664*Y^3", RING_XY)  # a decimal digit, but not ASCII
+    assert err.value.position == 6
     # a literal past the digit cap is refused by the parser, at its position
     assert parse_form("9" * 4300 + "*X", RING_XY) == int("9" * 4300) * MPoly.variable(RING_XY, "X")
     with pytest.raises(ParseError) as err:
