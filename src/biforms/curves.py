@@ -108,7 +108,10 @@ def binary_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     For nonzero f, g of degrees d, e the d + e Sylvester rows span
     G * V_(d+e-1-k), G the gcd and k its degree, so the rank is d + e - k
     and the last echelon row of the forward pass is G * Y^(rank-1) up to
-    scale (back-substitution would only rescale it).
+    scale (back-substitution would only rescale it).  The pass is the
+    complete one: when the pivots skip a column (a common root at infinity),
+    the slice read below holds multipliers of earlier steps, which only the
+    complete pass zeroes.
     """
     if f.is_zero():
         return g if g.is_zero() else _monic(g)
@@ -149,8 +152,13 @@ def gcd_all(forms) -> BinaryForm:
 def _sylvester_rows(pc, qc):
     """Sylvester matrix of two descending coefficient lists (degrees d + e >= 1)."""
     d, e = len(pc) - 1, len(qc) - 1
-    return ([[0] * i + pc + [0] * (e - 1 - i) for i in range(e)]
-            + [[0] * i + qc + [0] * (d - 1 - i) for i in range(d)])
+    rows = []
+    for coeffs, shifts in ((pc, e), (qc, d)):
+        for i in range(shifts):
+            row = [0] * (d + e)
+            row[i:i + len(coeffs)] = coeffs
+            rows.append(row)
+    return rows
 
 
 def sylvester_resultant(p: BinaryForm, q: BinaryForm) -> Fraction:

@@ -15,11 +15,13 @@ columns: each column is brought up to date by the recorded steps when it is
 reached, then searched for a pivot.  The rows arrive in column blocks, the
 first as the rows themselves and each later one pulled from a lazy iterable
 only once the columns before it are done; its segments are appended in the
-rows' original order, since pivot swaps permute the rows.  Rank-only
-callers (_rank) stop at the column where every row holds a pivot, so a block
-past it is never built; rref, det and binary_gcd pass one block and run to
-the last column.  rref back-substitutes on the integer rows too, dividing
-each updated row by its gcd, and returns its rows over the lcm of the pivots.
+rows' original order, since pivot swaps permute the rows.  _rank and the
+determinant stop at the column where every row holds a pivot, so a block
+past it is never built and the multipliers stay in place; rref and
+binary_gcd pass one block, run to the last column and read echelon rows
+with the multipliers zeroed.  rref back-substitutes on the integer rows too,
+dividing each updated row by its gcd, and returns its rows over the lcm of
+the pivots.
 This keeps intermediate integers small at the sizes that occur here.  The
 maximal minors of a tall matrix take no elimination: top_minors builds them
 column by column by Laplace expansion, without division.
@@ -143,48 +145,54 @@ def _bareiss(blocks, complete=True):
     eliminated in place.  A later block is pulled only when every column so
     far is done, and its segments are appended to the rows of `work` in the
     rows' original order (pivot swaps permute `work`).  Each step is
-    recorded as (pivot row r, pivot column, pivot, previous pivot), and each
-    row below r keeps its multiplier m in the pivot column.  Column c is
-    first brought up to date by every step in turn: each entry x below row r
-    becomes (pivot * x - m * work[r][c]) / prev, the division checked to be
-    exact.  Then its first nonzero entry at or below the next row is the
-    next pivot.  Unless `complete`, the loop returns at the column where
-    every row holds a pivot, so no later column is read and no later block
-    is built (only the pivot count is then meaningful); else it runs to the
-    last column and zeroes the multipliers.  Returns (pivot columns, sign of
-    the row permutation); the first len(pivots) rows of `work` are the
-    echelon rows.
+    recorded as (pivot row, pivot column, pivot, previous pivot, the rows
+    below it); later swaps only reorder those rows, and each keeps its
+    multiplier m in the pivot column.  Column c is first brought up to date
+    by every step in turn: each entry x below the pivot row becomes
+    (pivot * x - m * pivot_row[c]) / prev, a floor division whose product
+    with prev must give back the dividend, else ArithmeticError.  Then its
+    first nonzero entry at or below the next row is the next pivot.  Unless
+    `complete`, the loop returns at the column where every row holds a
+    pivot, so no later column is read and no later block is built (the
+    pivots are then meaningful, the rest of `work` is not); else it runs to
+    the last column and zeroes the multipliers.  Returns (pivot columns,
+    sign of the row permutation); the first len(pivots) rows of `work` are
+    the echelon rows.
     """
     blocks = iter(blocks)
     work = next(blocks)
     rows = len(work)
     order = list(range(rows))
     steps = []
+    pivots = []
     sign = 1
     prev = 1
     start = 0
     while True:
         end = len(work[0]) if rows else 0
         for c in range(start, end):
-            for r, sc, pivot, before in steps:
-                top = work[r][c]
-                for wi in work[r + 1:]:
-                    q, rem = divmod(pivot * wi[c] - wi[sc] * top, before)
-                    if rem:
+            for pivot_row, sc, pivot, before, below in steps:
+                top = pivot_row[c]
+                for wi in below:
+                    x = pivot * wi[c] - wi[sc] * top
+                    q = x // before
+                    if q * before != x:
                         raise ArithmeticError("Bareiss exact-division invariant broken")
                     wi[c] = q
-            r = len(steps)
-            p = next((i for i in range(r, rows) if work[i][c]), None)
-            if p is None:
+            r = p = len(steps)
+            while p < rows and not work[p][c]:
+                p += 1
+            if p == rows:
                 continue
             if p != r:
                 work[r], work[p] = work[p], work[r]
                 order[r], order[p] = order[p], order[r]
                 sign = -sign
-            steps.append((r, c, work[r][c], prev))
+            steps.append((work[r], c, work[r][c], prev, work[r + 1:]))
+            pivots.append(c)
             prev = work[r][c]
             if r + 1 == rows and not complete:
-                return [c for _, c, _, _ in steps], sign
+                return pivots, sign
         block = next(blocks, None)
         if block is None:
             break
@@ -192,10 +200,10 @@ def _bareiss(blocks, complete=True):
         for wi, i in zip(work, order):
             wi.extend(block[i])
     if complete:
-        for r, c, _, _ in steps:
-            for wi in work[r + 1:]:
+        for _, c, _, _, below in steps:
+            for wi in below:
                 wi[c] = 0
-    return [c for _, c, _, _ in steps], sign
+    return pivots, sign
 
 
 def _rank(blocks):
@@ -205,10 +213,12 @@ def _rank(blocks):
 
 
 def _int_det(work):
-    """Determinant of a square matrix given as integer rows (consumed)."""
+    """Determinant of a square matrix given as integer rows (consumed): at
+    full rank the last pivot sits in the last column, where the forward
+    pass returns, and is the determinant up to the swaps' sign."""
     if not work:
         return 1
-    pivots, sign = _bareiss([work])
+    pivots, sign = _bareiss([work], complete=False)
     return sign * work[-1][-1] if len(pivots) == len(work) else 0
 
 

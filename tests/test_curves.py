@@ -117,6 +117,10 @@ def test_sylvester_resultant_examples():
     assert sylvester_resultant(BinaryForm.parse("X^2 - Y^2"), BinaryForm.parse("X - Y")) == 0
     # linear pair: resultant is the 2x2 determinant ad - bc
     assert sylvester_resultant(BinaryForm.parse("2*X + 3*Y"), BinaryForm.parse("5*X + 7*Y")) == -1
+    # zero leading coefficients: both forms vanish at the root at infinity (1 : 0)
+    at_infinity = BinaryForm.parse("X*Y - 2*Y^2"), BinaryForm.parse("3*X^2*Y + 5*Y^3")
+    assert sylvester_resultant(*at_infinity) == 0
+    assert sylvester_resultant(at_infinity[0], BinaryForm.parse("X^3 + Y^3")) != 0
     with pytest.raises(ValueError):
         sylvester_resultant(x, BinaryForm.parse("1", degree=0))
 

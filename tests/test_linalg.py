@@ -17,7 +17,7 @@ from biforms import (
     top_minors,
 )
 
-from biforms.linalg import _rank
+from biforms.linalg import _bareiss, _rank
 from helpers import cofactor_det, oracle, oracle_matmul, oracle_matvec, oracle_residual
 
 
@@ -274,6 +274,40 @@ def test_det_matches_cofactor_oracle():
         assert det(m) == cofactor_det(m.entries)
     m = QMat([[Fraction(1, 2), 1], [1, Fraction(3, 2)]])
     assert det(m) == Fraction(1, 2) * Fraction(3, 2) - 1
+    # the cases that the determinant's stop at the last pivot must get right
+    assert det(QMat([])) == 1
+    assert det(QMat([[-7]])) == -7 and det(QMat([[0]])) == 0
+    late = swapped = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        # singular through the last column alone: a combination of the others
+        coef = [rng.randint(-3, 3) for _ in range(n - 1)]
+        singular = [row[:-1] + [sum(k * x for k, x in zip(coef, row))] for row in rows]
+        late += rank(QMat([row[:-1] for row in singular])) == n - 1
+        # a zero row
+        zero_row = [row[:] for row in rows]
+        zero_row[rng.randrange(n)] = [0] * n
+        # leading zeros, most in the top rows: pivot swaps, so the sign counts
+        stair = [[0] * (n - 1 - i) + row[n - 1 - i:] for i, row in enumerate(rows)]
+        swapped += cofactor_det(stair) != 0
+        for case in (singular, zero_row, stair):
+            m = QMat(case)
+            assert det(m) == cofactor_det(m.entries), case
+        assert det(QMat(singular)) == 0 and det(QMat(zero_row)) == 0
+    assert late >= 40 and swapped >= 40
+
+
+def test_bareiss_exact_division_check_fires():
+    work = [[2, 1], [3, 5], [4, 7]]
+
+    def blocks():
+        yield work
+        work[2][0] += 1     # a stored multiplier, corrupted before the next block
+        yield [[1], [1], [1]]
+
+    with pytest.raises(ArithmeticError):
+        _bareiss(blocks())
 
 
 def test_top_minors_examples():
