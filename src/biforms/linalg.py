@@ -5,9 +5,9 @@ is stored like a form: `_num`, a tuple of integer row tuples, over `_den`,
 one positive common denominator, with gcd(den, every entry) = 1, so equality
 and hashing are tuple operations.  `cols` is kept for a matrix without rows
 too, so a 0 x n matrix is not a 0 x 0 one.
-`_make` is the one private constructor that reduces (`_canonical` wraps a
-pair that is canonical already); `_reduce`, shared with the forms, is the one
-place that rule is written.  `entries` builds Fractions on each access.
+`_make` is the one private constructor; `_reduce`, shared with the forms, is
+the one place the reduction rule is written.  `entries` builds Fractions on
+each access.
 
 Every kernel reads and writes the integers.  Elimination is one
 fraction-free Bareiss forward pass, _bareiss, a left-looking loop over the
@@ -17,11 +17,13 @@ first as the rows themselves and each later one pulled from a lazy iterable
 only once the columns before it are done; its segments are appended in the
 rows' original order, since pivot swaps permute the rows.  _rank and the
 determinant stop at the column where every row holds a pivot, so a block
-past it is never built and the multipliers stay in place; rref and
+past it is never built and the multipliers stay in place; _echelon and
 binary_gcd pass one block, run to the last column and read echelon rows
-with the multipliers zeroed.  rref back-substitutes on the integer rows too,
-dividing each updated row by its gcd, and returns its rows over the lcm of
-the pivots.
+with the multipliers zeroed.  _echelon, the one reduced echelon routine
+behind rref, Subspace, kernel_basis, column_space and random_subspace, runs
+that pass, then back-substitutes on the integer rows by exact division as
+the forward pass does: each echelon row is brought over the last pivot D,
+divided by its own pivot and checked, and D's sign moves onto the rows.
 This keeps intermediate integers small at the sizes that occur here.  The
 maximal minors of a tall matrix take no elimination: top_minors builds them
 column by column by Laplace expansion, without division.
@@ -78,13 +80,8 @@ class QMat:
     def _make(cls, rows, den, cols=0):
         """rows / den (integer rows of one length, den > 0) as the canonical
         pair; `cols` is the width when there are no rows."""
-        return cls._canonical(*_reduce(rows, den), cols)
-
-    @classmethod
-    def _canonical(cls, num, den, cols=0):
-        """The QMat of a pair that is already canonical (row tuples in a tuple)."""
         new = object.__new__(cls)
-        new._num, new._den = num, den
+        new._num, new._den = num, den = _reduce(rows, den)
         new.rows = len(num)
         new.cols = len(num[0]) if num else cols
         return new
@@ -222,30 +219,41 @@ def _int_det(work):
     return sign * work[-1][-1] if len(pivots) == len(work) else 0
 
 
+def _echelon(work):
+    """(rows, den, pivot columns) of the reduced row-echelon form of integer
+    rows (consumed): the nonzero rows over den > 0, each holding den at its pivot.
+
+    After the complete forward pass, with d_i the pivot of echelon row i and
+    D the last one, row i becomes N_i = (|D| row_i - sum over j > i of
+    row_i[p_j] N_j) / d_i, from the last row up, so D's sign moves onto the
+    rows.  D times the RREF is an integer matrix (Cramer's rule), so each
+    division is exact; it is checked like _bareiss's, else ArithmeticError.
+    """
+    pivots, _ = _bareiss([work])
+    rank = len(pivots)
+    den = abs(work[rank - 1][pivots[-1]]) if rank else 1
+    for i in range(rank - 1, -1, -1):
+        row = work[i]
+        acc = [den * x for x in row]
+        for j in range(i + 1, rank):
+            f = row[pivots[j]]
+            if f:
+                acc = [a - f * b for a, b in zip(acc, work[j])]
+        d = row[pivots[i]]
+        work[i] = [x // d for x in acc]
+        if [q * d for q in work[i]] != acc:
+            raise ArithmeticError("echelon exact-division invariant broken")
+    return work[:rank], den, tuple(pivots)
+
+
 def rref(m: QMat):
     """Reduced row-echelon form: returns (QMat, rank, pivot_columns).
 
-    The forward pass is Bareiss on the integer rows; back-substitution
-    stays on them, each divided by its gcd after every update, and the
-    result holds row i times L / pivot_i over L, the lcm of the pivots.
-    """
-    work = [list(row) for row in m._num]
-    pivots, _ = _bareiss([work])
-    rank = len(pivots)
-    echelon = work[:rank]
-    for i in range(rank - 1, -1, -1):
-        piv = pivots[i]
-        lead = echelon[i][piv]
-        for k in range(i):
-            factor = echelon[k][piv]
-            if factor:
-                row = [lead * a - factor * b for a, b in zip(echelon[k], echelon[i])]
-                g = gcd(*row)
-                echelon[k] = [x // g for x in row]
-    den = lcm(*[row[p] for row, p in zip(echelon, pivots)])
-    full = [[x * (den // row[p]) for x in row] for row, p in zip(echelon, pivots)]
-    full += [[0] * m.cols for _ in range(m.rows - rank)]
-    return QMat._make(full, den, m.cols), rank, tuple(pivots)
+    The rows of _echelon, back-substituted by exact division over the last
+    pivot, then zero rows."""
+    rows, den, pivots = _echelon([list(row) for row in m._num])
+    rows += [[0] * m.cols for _ in range(m.rows - len(pivots))]
+    return QMat._make(rows, den, m.cols), len(pivots), pivots
 
 
 def rank(m: QMat) -> int:
@@ -269,9 +277,13 @@ class Subspace:
         m = QMat(vectors, ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        reduced, rk, _ = rref(m)
-        # rref's pair is canonical and its rows past the rank are zero: dropping them keeps the gcd
-        return cls(ambient_dim, QMat._canonical(reduced._num[:rk], reduced._den, ambient_dim))
+        return cls._span(ambient_dim, [list(row) for row in m._num])
+
+    @classmethod
+    def _span(cls, ambient_dim, work):
+        """Span of integer rows of length ambient_dim (consumed)."""
+        rows, den, _ = _echelon(work)
+        return cls(ambient_dim, QMat._make(rows, den, ambient_dim))
 
     @property
     def dim(self):
@@ -312,21 +324,23 @@ class Subspace:
 
 def kernel_basis(m: QMat) -> Subspace:
     """Canonical basis of the null space {v : m v = 0} in Q^cols."""
-    reduced, rk, pivots = rref(m)
+    rows, den, pivots = _echelon([list(row) for row in m._num])
+    # a common factor of the vectors below would grow every pivot of their elimination
+    rows, den = _reduce(rows, den)
     vectors = []
     for f in range(m.cols):
         if f not in pivots:
             v = [0] * m.cols
-            v[f] = reduced._den
-            for row, p in zip(reduced._num, pivots):
+            v[f] = den
+            for row, p in zip(rows, pivots):
                 v[p] = -row[f]
             vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
+    return Subspace._span(m.cols, vectors)
 
 
 def column_space(m: QMat) -> Subspace:
     """Canonical subspace of Q^rows spanned by the columns of m."""
-    return Subspace.from_vectors(m.rows, _columns(m))
+    return Subspace._span(m.rows, [list(c) for c in _columns(m)])
 
 
 def det(m: QMat) -> Fraction:

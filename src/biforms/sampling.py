@@ -19,8 +19,8 @@ from __future__ import annotations
 from random import Random
 
 from .actions import GroupPair
-from .forms import BiForm, BinaryForm
-from .linalg import QMat, Subspace, rref
+from .forms import BiForm, BinaryForm, _basis
+from .linalg import QMat, Subspace
 
 COEFF_RANGE = (-9, 9)
 SHEAR_RANGE = (-3, 3)
@@ -42,7 +42,7 @@ def _draws(rng, count, lo, hi):
 
 def _random_form(rng, cls, degree):
     """One integer draw per basis index, in basis order; redrawn while zero."""
-    n = len(cls.zero(degree)._num)
+    n = len(_basis(cls.groups, cls._grading(degree)))
     while True:
         f = cls._make(degree, _draws(rng, n, *COEFF_RANGE), 1)
         if not f.is_zero():
@@ -63,11 +63,11 @@ def random_subspace(rng: Random, ambient_dim: int, dim: int) -> Subspace:
         raise ValueError(f"no {dim}-dimensional subspace of Q^{ambient_dim}")
     while True:
         flat = _draws(rng, ambient_dim * dim, *COEFF_RANGE)
-        rows = [flat[i * ambient_dim:(i + 1) * ambient_dim] for i in range(dim)]
-        # full rank: rref's rows are the canonical basis, with no zero row to drop
-        basis, rk, _ = rref(QMat._make(rows, 1, ambient_dim))
-        if rk == dim:
-            return Subspace(ambient_dim, basis)
+        # the draws go straight into the echelon routine as integer rows, with no QMat
+        w = Subspace._span(ambient_dim, [flat[i * ambient_dim:(i + 1) * ambient_dim]
+                                         for i in range(dim)])
+        if w.dim == dim:
+            return w
 
 
 def random_sl2(rng: Random) -> QMat:

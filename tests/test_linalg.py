@@ -17,6 +17,7 @@ from biforms import (
     top_minors,
 )
 
+from biforms import linalg
 from biforms.linalg import _bareiss, _rank
 from helpers import cofactor_det, oracle, oracle_matmul, oracle_matvec, oracle_residual
 
@@ -38,6 +39,18 @@ def test_rref_examples():
     assert rref(z) == (z, 0, ())
     reduced, rk, piv = rref(QMat([[1, 2], [2, 4]]))
     assert reduced == QMat([[1, 2], [0, 0]]) and rk == 1 and piv == (0,)
+    f = Fraction
+    cases = [
+        ([[1, 2], [3, 4]], [[1, 0], [0, 1]], (0, 1)),                 # last pivot -2
+        ([[0, 1, 2], [0, 2, 5]], [[0, 1, 0], [0, 0, 1]], (1, 2)),     # column 0 skipped
+        ([[2, 3, 1], [4, 3, 0]], [[1, 0, f(-1, 2)], [0, 1, f(2, 3)]], (0, 1)),  # over 6
+    ]
+    for rows, literal, pivots in cases:
+        m = QMat(rows)
+        assert rref(m) == (QMat(literal), 2, pivots)
+        assert kernel_basis(m) == Subspace.from_vectors(m.cols, oracle.kernel(m.entries, m.cols)[1])
+        columns = oracle.rref(m.transpose().entries)[0]
+        assert column_space(m) == Subspace.from_vectors(m.rows, columns)
 
 
 def test_rref_matches_plain_gauss_jordan():
@@ -308,6 +321,20 @@ def test_bareiss_exact_division_check_fires():
 
     with pytest.raises(ArithmeticError):
         _bareiss(blocks())
+
+
+def test_rref_exact_division_check_fires(monkeypatch):
+    # d_0 = 2 does not divide the last pivot D = 1: a corrupted entry of the
+    # first echelon row leaves (D row_0 - row_0[p_1] N_1) / d_0 inexact
+    def corrupted(blocks, complete=True):
+        blocks = list(blocks)
+        out = _bareiss(blocks, complete)
+        blocks[0][0][2] += 1
+        return out
+
+    monkeypatch.setattr(linalg, "_bareiss", corrupted)
+    with pytest.raises(ArithmeticError):
+        rref(QMat([[2, 1, 0], [1, 1, 1]]))
 
 
 def test_top_minors_examples():
