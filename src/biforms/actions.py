@@ -147,10 +147,11 @@ def _power_column(G, d, k):
 def _act(f, mats):
     """Substitution action of one 2x2 matrix per variable group, on integers.
 
-    With g = G / s (the QMat's integer rows over its denominator), the
-    form's integer vector is transformed one group at a time: an index whose Y-exponent in that group is k (k = i // step %
-    (d + 1)) spreads over the integer column of X^(d-k) Y^k, built once per
-    call for each k that occurs, and the denominator gains s^d.
+    With g = G / s (the QMat's integer rows over its denominator), the form's
+    integer vector is transformed one group at a time: an index whose
+    Y-exponent in that group is k (k = i // step % (d + 1)) spreads over the
+    integer column of X^(d-k) Y^k, built once per call for each k that occurs,
+    and the denominator gains s^d.
     """
     if tuple(m.rows for m in mats) != f.groups:
         raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")

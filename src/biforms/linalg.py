@@ -19,14 +19,12 @@ rows' original order, since pivot swaps permute the rows.  _rank and the
 determinant stop at the column where every row holds a pivot, so a block
 past it is never built and the multipliers stay in place; _echelon and
 binary_gcd pass one block, run to the last column and read echelon rows
-with the multipliers zeroed.  _echelon, the one reduced echelon routine
-behind rref, Subspace, kernel_basis, column_space and random_subspace, runs
-that pass, then back-substitutes on the integer rows by exact division as
-the forward pass does: each echelon row is brought over the last pivot D,
-divided by its own pivot and checked, and D's sign moves onto the rows.
-This keeps intermediate integers small at the sizes that occur here.  The
-maximal minors of a tall matrix take no elimination: top_minors builds them
-column by column by Laplace expansion, without division.
+with the multipliers zeroed.  _echelon, the one reduced echelon routine,
+runs that pass, then back-substitutes by exact division over the last
+pivot, which keeps the integers small at the sizes that occur here;
+kernel_basis reads its basis off one _echelon of the half-turned matrix.
+The maximal minors of a tall matrix take no elimination: top_minors builds
+them column by column by Laplace expansion, without division.
 
 A Subspace is held in canonical reduced row-echelon form: rows are the basis,
 pivots are 1 with zeros elsewhere in their columns, pivot columns strictly
@@ -247,10 +245,8 @@ def _echelon(work):
 
 
 def rref(m: QMat):
-    """Reduced row-echelon form: returns (QMat, rank, pivot_columns).
-
-    The rows of _echelon, back-substituted by exact division over the last
-    pivot, then zero rows."""
+    """Reduced row-echelon form: returns (QMat, rank, pivot_columns), the
+    rows of _echelon followed by zero rows."""
     rows, den, pivots = _echelon([list(row) for row in m._num])
     rows += [[0] * m.cols for _ in range(m.rows - len(pivots))]
     return QMat._make(rows, den, m.cols), len(pivots), pivots
@@ -323,19 +319,22 @@ class Subspace:
 
 
 def kernel_basis(m: QMat) -> Subspace:
-    """Canonical basis of the null space {v : m v = 0} in Q^cols."""
-    rows, den, pivots = _echelon([list(row) for row in m._num])
-    # a common factor of the vectors below would grow every pivot of their elimination
-    rows, den = _reduce(rows, den)
+    """Canonical basis of the null space {v : m v = 0} in Q^cols.
+
+    Free column f of the RREF R of m turned half a turn gives den at f and
+    -R[i][f] at the pivots left of f: turned back, it leads at n-1-f and is
+    zero at the other leads, so by descending f these are the RREF basis.
+    Turning the rows too leaves R alone and keeps a banded m on its diagonal."""
+    rows, den, pivots = _echelon([list(reversed(row)) for row in reversed(m._num)])
     vectors = []
-    for f in range(m.cols):
+    for f in range(m.cols - 1, -1, -1):
         if f not in pivots:
             v = [0] * m.cols
             v[f] = den
             for row, p in zip(rows, pivots):
                 v[p] = -row[f]
-            vectors.append(v)
-    return Subspace._span(m.cols, vectors)
+            vectors.append(v[::-1])
+    return Subspace(m.cols, QMat._make(vectors, den, m.cols))
 
 
 def column_space(m: QMat) -> Subspace:

@@ -18,7 +18,7 @@ from biforms import (
 )
 
 from biforms import linalg
-from biforms.linalg import _bareiss, _rank
+from biforms.linalg import _bareiss, _echelon, _rank
 from helpers import cofactor_det, oracle, oracle_matmul, oracle_matvec, oracle_residual
 
 
@@ -133,6 +133,27 @@ def test_kernel_examples():
     assert kernel_basis(QMat.identity(4)).dim == 0
     k = kernel_basis(QMat([[1, 1]]))
     assert k.dim == 1 and k.basis == QMat([[1, -1]])
+    cases = [
+        (zeros(2, 3), QMat.identity(3)),                                # kernel Q^3
+        (QMat([[1, 2, 0], [0, 0, 1]]), QMat([[1, Fraction(-1, 2), 0]])),  # column 1 skipped
+        (QMat([[1, 2], [3, 4], [5, 7]]), zeros(0, 2)),                  # full column rank
+    ]
+    for m, basis in cases:
+        assert kernel_basis(m) == Subspace(m.cols, basis)
+        assert kernel_basis(m) == Subspace.from_vectors(m.cols, oracle.kernel(m.entries, m.cols)[1])
+
+
+def test_kernel_basis_runs_one_elimination(monkeypatch):
+    calls = []
+
+    def counted(work):
+        calls.append(len(work))
+        return _echelon(work)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    m = QMat([[1, 2, 0, 3, 1], [2, 4, 1, 6, 0], [3, 6, 1, 9, 1]])  # wide, rank 2
+    assert kernel_basis(m).dim == 3
+    assert calls == [3]
 
 
 def test_matrices_without_rows_keep_their_width():
@@ -180,6 +201,7 @@ def test_rank_nullity_randomized():
     cases = [rand_mat(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(30)]
     for m in cases + _wide_cases(rng):
         ker = kernel_basis(m)
+        assert ker == Subspace.from_vectors(m.cols, oracle.kernel(m.entries, m.cols)[1])
         assert rank(m) == oracle.rank(m.entries)
         assert rank(m) + ker.dim == m.cols
         for v in ker.basis.entries:
