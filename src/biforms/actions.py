@@ -15,10 +15,10 @@ rationals into an n x n QMat and checks that it is invertible (or traceless),
 so the functions taking a bare matrix accept either form.
 
 act and matrix_of_binary_action run on the integer storage of both a form
-and a matrix g = G / s (G the QMat's integer rows, s its denominator): the
-image of X^(d-k) Y^k is the integer column of
-(G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, two binomial rows and one
-convolution, built per call only for the exponents k that occur.  A form's
+and a matrix g = G / s (G the QMat's integer rows, s its denominator), and
+share one cached representation of G on V_d: the image of X^(d-k) Y^k is the
+column of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, built once per (G, d), so
+a loop acting by a few matrices on many forms reuses its columns.  A form's
 vector is transformed one variable group at a time, and its denominator
 gains s^d per group.  act_ternary still substitutes MPoly images
 (MPoly.substitute).
@@ -49,6 +49,7 @@ candidate elements.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import mul
 
@@ -129,19 +130,21 @@ def _binomial_row(x, y, n):
     return [comb(n, i) * x ** (n - i) * y ** i for i in range(n + 1)]
 
 
-def _power_column(G, d, k):
-    """Coefficients of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, the image of
-    X^(d-k) Y^k, index j at X^(d-j) Y^j: two binomial rows, one convolution.
-    G is an integer 2x2 matrix, as its two rows."""
+@lru_cache(maxsize=256)
+def _representation(G, d):
+    """The integer 2x2 matrix G (its two rows) on V_d: column k, the image of
+    X^(d-k) Y^k, is (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, two binomial rows
+    and one convolution, as a tuple of its nonzero (j, coefficient of
+    X^(d-j) Y^j) pairs.  Cached, so the columns are immutable tuples."""
     (g00, g01), (g10, g11) = G
-    p = _binomial_row(g00, g10, d - k)
-    q = _binomial_row(g01, g11, k)
-    column = [0] * (d + 1)
-    for i, x in enumerate(p):
-        if x:
+    columns = []
+    for k in range(d + 1):
+        column, q = [0] * (d + 1), _binomial_row(g01, g11, k)
+        for i, x in enumerate(_binomial_row(g00, g10, d - k)):
             for j, y in enumerate(q):
                 column[i + j] += x * y
-    return column
+        columns.append(tuple([(j, x) for j, x in enumerate(column) if x]))
+    return tuple(columns)
 
 
 def _act(f, mats):
@@ -149,30 +152,24 @@ def _act(f, mats):
 
     With g = G / s (the QMat's integer rows over its denominator), the form's
     integer vector is transformed one group at a time: an index whose
-    Y-exponent in that group is k (k = i // step % (d + 1)) spreads over the
-    integer column of X^(d-k) Y^k, built once per call for each k that occurs,
-    and the denominator gains s^d.
+    Y-exponent in that group is k (k = i // step % (d + 1)) spreads over
+    column k of _representation(G, d), and the denominator gains s^d.
     """
     if tuple(m.rows for m in mats) != f.groups:
         raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
     vec, den = f._num, f._den
     step = len(vec)
     for m, d in zip(mats, f._grading(f._degree)):
-        G = m._num
+        columns = _representation(m._num, d)
         den *= m._den ** d
         step //= d + 1
-        columns = [None] * (d + 1)
         out = [0] * len(vec)
         for i, n in enumerate(vec):
             if n:
                 k = i // step % (d + 1)
-                column = columns[k]
-                if column is None:
-                    column = columns[k] = _power_column(G, d, k)
                 base = i - k * step
-                for j, x in enumerate(column):
-                    if x:
-                        out[base + j * step] += n * x
+                for j, x in columns[k]:
+                    out[base + j * step] += n * x
         vec = out
     return f._make(f._degree, vec, den)
 
@@ -224,10 +221,12 @@ def lie_act_binary(x, f: BinaryForm) -> BinaryForm:
 
 def matrix_of_binary_action(g, b: int) -> QMat:
     """Matrix of the substitution action of one 2x2 matrix g on V_b, the
-    binary forms of degree b, in the canonical monomial basis."""
+    binary forms of degree b (an int >= 0), in the canonical monomial basis."""
+    if type(b) is not int or b < 0:
+        raise ValueError(f"degree must be an int >= 0, got {b!r}")
     m = _square(g, 2)
-    columns = [_power_column(m._num, b, k) for k in range(b + 1)]
-    return QMat._make(list(zip(*columns)), m._den ** b)
+    columns = [dict(c) for c in _representation(m._num, b)]
+    return QMat._make([[c.get(j, 0) for c in columns] for j in range(b + 1)], m._den ** b)
 
 
 def _sl2_images(vec, d, step, lo=0, hi=None):

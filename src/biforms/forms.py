@@ -186,7 +186,7 @@ class _Form:
         return self._sum(other, -1, "subtract")
 
     def __rmul__(self, c):
-        n, d = Fraction(c).as_integer_ratio()
+        (n,), d = _integer_row([c])
         return self._make(self._degree, [n * x for x in self._num], d * self._den)
 
     def __neg__(self):
@@ -311,5 +311,5 @@ def from_binomial_coeffs(d, alphas) -> BinaryForm:
     coordinates alphas = (alpha_0..alpha_d)."""
     if len(alphas) != d + 1:
         raise ValueError("need d+1 coordinates")
-    return BinaryForm._make(d, *_integer_row([comb(d, i) * Fraction(alphas[i])
-                                              for i in range(d, -1, -1)]))
+    nums, s = _integer_row(alphas)
+    return BinaryForm._make(d, [comb(d, i) * nums[i] for i in range(d, -1, -1)], s)

@@ -51,7 +51,14 @@ def _reduce(rows, den):
 
 
 def _integer_row(values):
-    """(integer row, scale): rationals times the lcm of their denominators."""
+    """(integer row, scale): a sequence of rationals times the lcm of their
+    denominators, an all-int row as it is.  A float raises TypeError: its
+    binary value is rarely the number meant.  A string goes through Fraction."""
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    for x in values:
+        if isinstance(x, float):
+            raise TypeError(f"{x!r} is a float: give an int or a Fraction")
     values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
     s = lcm(*[x.denominator for x in values])
     return [x.numerator * (s // x.denominator) for x in values], s
@@ -108,7 +115,7 @@ class QMat:
             columns = _columns(other)
             return QMat._make([[sum(a * b for a, b in zip(row, c)) for c in columns]
                                for row in self._num], self._den * other._den, other.cols)
-        n, d = Fraction(other).as_integer_ratio()
+        (n,), d = _integer_row([other])
         return QMat._make([[n * x for x in row] for row in self._num], d * self._den, self.cols)
 
     __rmul__ = __mul__

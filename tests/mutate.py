@@ -1,0 +1,166 @@
+"""Mutation check: does each named test catch the fault it is meant to catch?
+
+    python tests/mutate.py            # every mutant, each against its own tests
+    python tests/mutate.py --list     # the mutants and their tests
+    python tests/mutate.py NAME ...   # only these mutants
+    python tests/mutate.py --all      # each mutant against the whole suite
+
+Each entry of MUTANTS is a file under the repository root, an exact old text
+(which must occur there exactly once), the text that replaces it, and the
+tests expected to fail.  The tree is copied to a temporary directory, without
+.git and caches, once for an unmutated run of the named tests (which must
+pass, or nothing below means anything) and once for each mutant, which is
+applied to its copy alone.  A mutant survives when every test run on it
+passes; a named test that passes on a mutant that another test kills is
+reported as a miss.  The working tree is never edited.
+
+Exit status: 0 when every mutant is killed by every test it names, 1 when
+one survives, is missed by a named test, or its old text does not occur
+exactly once, 2 when the unmutated tests fail.  pytest does not collect this
+file: its name does not match test_*.py.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 1800
+
+MODULES = ("linalg", "actions", "curves", "checks")
+LINALG, ACTIONS, CURVES, CHECKS = (f"src/biforms/{m}.py" for m in MODULES)
+T_LINALG, T_ACTIONS, T_CURVES, T_CHECKS = (f"tests/test_{m}.py" for m in MODULES)
+
+# (name, file, old text, new text, tests expected to fail)
+MUTANTS = [
+    ("bareiss-divisor-check-removed", LINALG,
+     "                    if q * before != x:\n"
+     "                        raise ArithmeticError(\"Bareiss exact-division invariant broken\")\n",
+     "",
+     [f"{T_LINALG}::test_bareiss_exact_division_check_fires"]),
+    ("det-swap-sign-dropped", LINALG,
+     "return sign * work[-1][-1] if", "return work[-1][-1] if",
+     [f"{T_LINALG}::test_det_matches_cofactor_oracle"]),
+    ("binary-gcd-forward-only-pass", CURVES,
+     "rk = len(_bareiss([work])[0])", "rk = len(_bareiss([work], complete=False)[0])",
+     [f"{T_CURVES}::test_binary_gcd_matches_oracle"]),
+    ("echelon-remainder-check-removed", LINALG,
+     "        if [q * d for q in work[i]] != acc:\n"
+     "            raise ArithmeticError(\"echelon exact-division invariant broken\")\n",
+     "",
+     [f"{T_LINALG}::test_rref_exact_division_check_fires"]),
+    ("echelon-over-signed-D", LINALG,
+     "den = abs(work[rank - 1][pivots[-1]]) if rank else 1",
+     "den = work[rank - 1][pivots[-1]] if rank else 1",
+     [f"{T_LINALG}::test_rref_examples"]),
+    ("blocks-appended-in-permuted-order", LINALG,
+     "        for wi, i in zip(work, order):\n            wi.extend(block[i])\n",
+     "        for wi, segment in zip(work, block):\n            wi.extend(segment)\n",
+     [f"{T_LINALG}::test_block_fed_rank_matches_oracle"]),
+    ("representation-keyed-without-d", ACTIONS,
+     "@lru_cache(maxsize=256)\ndef _representation(G, d):",
+     "@(lambda f, memo={}: lambda G, d: memo.setdefault(G, memo.get(G) or f(G, d)))\n"
+     "def _representation(G, d):",
+     [f"{T_ACTIONS}::test_act_matches_oracle",
+      f"{T_ACTIONS}::test_representation_cache_on_the_c10_pattern"]),
+    ("c10-first-center-scaled-by-b", CHECKS,
+     "if act(first, mono) != (-1) ** a * mono:", "if act(first, mono) != (-1) ** b * mono:",
+     [f"{T_CHECKS}::test_fast_checks_pass"]),
+    ("c10-pluecker-parity-inverted", CHECKS,
+     "(tuple(-m for m in minors) if dim % 2 else minors)",
+     "(tuple(-m for m in minors) if not dim % 2 else minors)",
+     [f"{T_CHECKS}::test_fast_checks_pass"]),
+    ("floats-let-through", LINALG,
+     "        if isinstance(x, float):\n", "        if isinstance(x, complex):\n",
+     [f"{T_LINALG}::test_floats_are_refused_at_the_rational_boundary"]),
+]
+
+
+def copy_tree(dest):
+    skip = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info")
+
+    def ignore(directory, names):
+        out = set(skip(directory, names))
+        if Path(directory) == ROOT / "perfbench":
+            out.add("out")
+        return out
+    shutil.copytree(ROOT, dest, ignore=ignore)
+
+
+def run_tests(tree, tests):
+    """(return code, failed node ids) of pytest on `tests` (all when empty) in `tree`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                           *tests], cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode, failed
+
+
+def apply(tree, path, old, new):
+    target = tree / path
+    text = target.read_text(encoding="utf-8")
+    count = text.count(old)
+    if count != 1:
+        return f"old text occurs {count} times in {path}"
+    target.write_text(text.replace(old, new), encoding="utf-8")
+    return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--all", action="store_true", help="run the whole suite on each mutant")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    known = {m[0] for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+    if args.list:
+        for name, path, _, _, tests in chosen:
+            print(f"{name}  ({path})")
+            for test in tests:
+                print(f"    {test}")
+        return 0
+
+    named = sorted({t for m in chosen for t in m[4]})
+    with tempfile.TemporaryDirectory(prefix="biforms-mutate-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        code, failed = run_tests(base, [] if args.all else named)
+        if code:
+            print(f"unmutated tree fails (exit {code}): {', '.join(failed) or 'see pytest'}")
+            return 2
+        shutil.rmtree(base)
+        bad = 0
+        for name, path, old, new, tests in chosen:
+            tree = Path(tmp) / name
+            copy_tree(tree)
+            problem = apply(tree, path, old, new)
+            if problem is None:
+                code, failed = run_tests(tree, [] if args.all else tests)
+                missed = [t for t in tests if t not in failed]
+                if not failed:
+                    problem = "SURVIVED: every test passed" if code == 0 else \
+                        f"pytest exited {code} without a failed test"
+                elif missed:
+                    problem = f"missed by {', '.join(missed)}"
+            shutil.rmtree(tree)
+            if problem:
+                bad += 1
+                print(f"{name}: {problem}")
+            else:
+                print(f"{name}: killed ({len(failed)} failed, every named test among them)")
+        print(f"{len(chosen) - bad} of {len(chosen)} mutants killed by every test they name")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from random import Random
 
@@ -391,6 +392,61 @@ def test_act_binary_and_matrix_match_oracle():
         matrix_of_binary_action(((1, 2), (2, 4)), 3)
     with pytest.raises(ValueError):
         act(GroupPair(IDENT, IDENT), BinaryForm.zero(2))
+    # the degree is an int >= 0 and not a bool, as a form's degree is
+    for b in (-1, 1.5, True):
+        with pytest.raises(ValueError):
+            matrix_of_binary_action(IDENT, b)
+    # V_b needs b >= 0, so a subspace of Q^0 has no det_scalar
+    with pytest.raises(ValueError):
+        det_scalar(GroupPair(IDENT, IDENT), Subspace.from_vectors(0, []))
+
+
+def _act_on_c10_pattern(rng, elements):
+    """elements[0] on every monomial and on one dense rational form of each
+    bidegree up to (4, 8), C10's access pattern, with elements[1] and
+    elements[2] taking every other form in turn, each against oracle.act_pair;
+    the matrix of each element's g2 on V_b against oracle_action_rows.
+    Returns the (G, d) keys of the acting matrices."""
+    keys = set()
+    for a in range(5):
+        for b in range(9):
+            n = (a + 1) * (b + 1)
+            vectors = [[int(i == k) for i in range(n)] for k in range(n)]
+            vectors.append([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)])
+            for k, v in enumerate(vectors):
+                f = BiForm.from_coeff_vector((a, b), v)
+                for g in (elements[0], elements[1 + k % 2]):
+                    expected = oracle.act_pair(to_dict(f), rows(g.g1), rows(g.g2))
+                    assert act(g, f) == like(f, expected)
+                    keys |= {(g.g1._num, a), (g.g2._num, b)}
+            for g in elements:
+                assert matrix_of_binary_action(g.g2, b) == QMat(oracle_action_rows(rows(g.g2), b))
+    return keys
+
+
+def test_representation_cache_on_the_c10_pattern(monkeypatch):
+    import biforms.actions as actions_mod
+    cached = actions_mod._representation
+    rng = Random("representation-cache")
+    elements = (GroupPair(MINUS, IDENT), random_group_pair(rng),
+                GroupPair(((Fraction(1, 2), 3), (0, Fraction(-2, 3))),
+                          ((1, Fraction(1, 5)), (2, 1))))
+    before = cached.cache_info()
+    keys = _act_on_c10_pattern(rng, elements)
+    after = cached.cache_info()
+    assert after.hits - before.hits > 1000
+    assert after.maxsize == 256 and after.currsize <= 256
+    value = cached(((2, 1), (1, 1)), 3)
+    assert type(value) is tuple
+    assert all(type(c) is tuple and all(type(p) is tuple for p in c) for c in value)
+    assert value is cached(((2, 1), (1, 1)), 3)
+    # bounded to 4 keys, the interleaved elements evict each other's columns,
+    # which are rebuilt: more misses than keys
+    small = lru_cache(maxsize=4)(cached.__wrapped__)
+    monkeypatch.setattr(actions_mod, "_representation", small)
+    _act_on_c10_pattern(rng, elements)
+    info = small.cache_info()
+    assert info.currsize == 4 and info.misses > len(keys) and info.hits
 
 
 # zero, E, F, H and two rational traceless matrices

@@ -308,6 +308,21 @@ def test_c10_fails_with_wrong_binary_action_matrix(monkeypatch):
     assert wit["reason"] == "Pluecker scaling"
 
 
+def test_c10_fails_with_wrong_act(monkeypatch):
+    # a sign flipped on bidegree (3, 2) only: the centre loop over monomials sees it
+    import biforms.checks as checks_mod
+
+    real = checks_mod.act
+
+    def negated(g, f):
+        acted = real(g, f)
+        return -acted if f.bidegree == (3, 2) else acted
+
+    monkeypatch.setattr(checks_mod, "act", negated)
+    status, wit = checks_mod._check_c10(Random(0), 0)
+    assert (status, wit) == ("fail", {"reason": "first-center scalar", "a": 3, "b": 2})
+
+
 def test_c10_fails_with_negated_minors(monkeypatch):
     # a sign on every minor cancels in the Pluecker ratio; W's pivot minor sees it
     import biforms.checks as checks_mod

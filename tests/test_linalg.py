@@ -465,6 +465,28 @@ def test_qmat_storage_invariants():
         QMat([[1, 2], [3]])
 
 
+def test_floats_are_refused_at_the_rational_boundary():
+    # 0.5 is exact in binary, so refusing it is about the type, not the value
+    from biforms import BinaryForm, GroupPair, from_binomial_coeffs
+    w = Subspace.from_vectors(2, [[1, 0]])
+    refusals = (lambda: QMat([[1, 0.5]]), lambda: BinaryForm.from_coeff_vector(1, [0.5, 1]),
+                lambda: GroupPair(((0.5, 0), (0, 1)), ((1, 0), (0, 1))),
+                lambda: w.residual([1, 0.5]), lambda: QMat([[1]]) * 0.5,
+                lambda: 0.5 * BinaryForm.parse("X"), lambda: from_binomial_coeffs(1, [0.5, 1]))
+    for build in refusals:
+        with pytest.raises(TypeError, match="0.5"):
+            build()
+    # ints, bools, Fractions and the strings QMat's repr prints still go in
+    half = Fraction(1, 2)
+    assert QMat([[True, half]]) == QMat([[1, "1/2"]]) == QMat([[2, 1]]) * half
+    assert half * QMat([[2, 1]]) == QMat([[1, half]])
+    x = BinaryForm.parse("X")
+    assert 2 * x == BinaryForm.parse("2*X") == 4 * (half * x)
+    assert BinaryForm.from_coeff_vector(1, [half, False]) == BinaryForm.parse("1/2*X")
+    assert w.residual([True, half]) == (0, half)
+    assert GroupPair(((half, 0), (0, True)), ((1, 0), (0, 1))).g1 == QMat([[half, 0], [0, 1]])
+
+
 def test_products_match_fraction_oracle():
     rng = Random("qmat-products")
     for _ in range(60):
