@@ -14,14 +14,16 @@ and G3Element.mat.  One validator, _square, turns a QMat or n rows of n
 rationals into an n x n QMat and checks that it is invertible (or traceless),
 so the functions taking a bare matrix accept either form.
 
-act and matrix_of_binary_action run on the integer storage of both a form
-and a matrix g = G / s (G the QMat's integer rows, s its denominator), and
-share one cached representation of G on V_d: the image of X^(d-k) Y^k is the
-column of (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, built once per (G, d), so
-a loop acting by a few matrices on many forms reuses its columns.  A form's
-vector is transformed one variable group at a time, and its denominator
-gains s^d per group.  act_ternary still substitutes MPoly images
-(MPoly.substitute).
+act, act_ternary and matrix_of_binary_action run on the integer storage of
+both a form and a matrix g = G / s (G the QMat's integer rows, s its
+denominator), and share one cached representation of an n x n matrix G on
+the degree-d forms in n variables: the image of a monomial x_0^e_0 ..
+x_(n-1)^e_(n-1) is the column of L_0^e_0 .. L_(n-1)^e_(n-1), where L_j =
+sum_i G[i][j] x_i is G's j-th column read as a linear form (for n = 2, X^(d-k)
+Y^k goes to (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k).  It is built once per
+(G, d), so a loop acting by a few matrices on many forms reuses its columns.
+A form's vector is transformed one variable group at a time, and its
+denominator gains s^d per group.
 
 The Lie-algebra action is the derivative of the substitution action: a 2x2
 traceless x sends a form P in (X, Y) to
@@ -49,13 +51,11 @@ candidate elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, reduce
 from operator import mul
 
-from .forms import BiForm, BinaryForm, TernaryForm
+from .forms import BiForm, BinaryForm, TernaryForm, _basis
 from .linalg import QMat, Subspace, _int_det, _rank, det
-from .poly import MPoly, RING_XYZ
 
 
 def _square(m, n, traceless=False):
@@ -125,35 +125,50 @@ SL2_F = QMat(((0, 0), (1, 0)))  # Y d/dX
 SL2_H = QMat(((1, 0), (0, -1)))
 
 
-def _binomial_row(x, y, n):
-    """Coefficients of (x X + y Y)^n, index i at X^(n-i) Y^i."""
-    return [comb(n, i) * x ** (n - i) * y ** i for i in range(n + 1)]
+def _times(p, q):
+    """Product of two polynomials stored as {packed exponents: integer}."""
+    out = {}
+    for c, x in p.items():
+        for e, y in q.items():
+            out[c + e] = out.get(c + e, 0) + x * y
+    return out
 
 
 @lru_cache(maxsize=256)
 def _representation(G, d):
-    """The integer 2x2 matrix G (its two rows) on V_d: column k, the image of
-    X^(d-k) Y^k, is (G00 X + G10 Y)^(d-k) (G01 X + G11 Y)^k, two binomial rows
-    and one convolution, as a tuple of its nonzero (j, coefficient of
-    X^(d-j) Y^j) pairs.  Cached, so the columns are immutable tuples."""
-    (g00, g01), (g10, g11) = G
+    """The integer n x n matrix G (its n rows) on the degree-d forms in n
+    variables x_0..x_(n-1): column k, the image of the k-th monomial of
+    forms._basis((n,), (d,)), is a product of powers of the linear forms
+    L_j = sum_i G[i][j] x_i, as a tuple of its nonzero (index, coefficient)
+    pairs.  A polynomial is a dict keyed by the exponents of x_1..x_(n-1)
+    packed in base d+1 (for n = 2, the Y-exponent), so a product of
+    monomials adds keys.  Cached, so the columns are immutable tuples."""
+    n = len(G)
+    place = [0] + [(d + 1) ** (n - 1 - i) for i in range(1, n)]
+    basis = _basis((n,), (d,))
+    index = {sum(map(mul, e, place)): k for e, k in basis.items()}
+    powers = []
+    for j in range(n):
+        line = {place[i]: G[i][j] for i in range(n) if G[i][j]}
+        powers.append([{0: 1}])
+        for _ in range(d):
+            powers[j].append(_times(powers[j][-1], line))
     columns = []
-    for k in range(d + 1):
-        column, q = [0] * (d + 1), _binomial_row(g01, g11, k)
-        for i, x in enumerate(_binomial_row(g00, g10, d - k)):
-            for j, y in enumerate(q):
-                column[i + j] += x * y
-        columns.append(tuple([(j, x) for j, x in enumerate(column) if x]))
+    for e in basis:
+        column = reduce(_times, [p[k] for p, k in zip(powers, e)])
+        columns.append(tuple([(index[c], x) for c, x in column.items() if x]))
     return tuple(columns)
 
 
 def _act(f, mats):
-    """Substitution action of one 2x2 matrix per variable group, on integers.
+    """Substitution action of one n x n matrix per variable group of n
+    variables, on integers.
 
     With g = G / s (the QMat's integer rows over its denominator), the form's
-    integer vector is transformed one group at a time: an index whose
-    Y-exponent in that group is k (k = i // step % (d + 1)) spreads over
-    column k of _representation(G, d), and the denominator gains s^d.
+    integer vector is transformed one group at a time: index i holds the k-th
+    of the group's `size` degree-d monomials (k = i // step % size) and
+    spreads over column k of _representation(G, d), and the denominator
+    gains s^d.
     """
     if tuple(m.rows for m in mats) != f.groups:
         raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
@@ -161,12 +176,13 @@ def _act(f, mats):
     step = len(vec)
     for m, d in zip(mats, f._grading(f._degree)):
         columns = _representation(m._num, d)
+        size = len(columns)
         den *= m._den ** d
-        step //= d + 1
+        step //= size
         out = [0] * len(vec)
         for i, n in enumerate(vec):
             if n:
-                k = i // step % (d + 1)
+                k = i // step % size
                 base = i - k * step
                 for j, x in columns[k]:
                     out[base + j * step] += n * x
@@ -182,12 +198,7 @@ def act(g: GroupPair, f: BiForm) -> BiForm:
 def act_ternary(g: G3Element, f: TernaryForm) -> TernaryForm:
     """Substitution action (X,Y,Z) -> (X,Y,Z).g on a ternary form: the j-th
     variable goes to sum_i g[i][j] * (the i-th variable)."""
-    if f.groups != (3,):
-        raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    rows = g.mat.entries
-    images = [MPoly(RING_XYZ, {u: row[j] for u, row in zip(units, rows)}) for j in range(3)]
-    return TernaryForm(f.degree, f.poly.substitute(images))
+    return _act(f, (g.mat,))
 
 
 def _lie(f, mats):

@@ -50,16 +50,20 @@ def _reduce(rows, den):
     return tuple([tuple([x // g for x in row]) for row in rows]), den // g
 
 
+def _rational(x):
+    """x as a Fraction, a string through Fraction.  A float raises TypeError:
+    its binary value is rarely the number meant."""
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float: give an int or a Fraction")
+    return Fraction(x)
+
+
 def _integer_row(values):
-    """(integer row, scale): a sequence of rationals times the lcm of their
-    denominators, an all-int row as it is.  A float raises TypeError: its
-    binary value is rarely the number meant.  A string goes through Fraction."""
+    """(integer row, scale): a sequence of rationals (as _rational takes them)
+    times the lcm of their denominators, an all-int row as it is."""
     if set(map(type, values)) <= {int}:
         return values, 1
-    for x in values:
-        if isinstance(x, float):
-            raise TypeError(f"{x!r} is a float: give an int or a Fraction")
-    values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
+    values = [x if type(x) is int or type(x) is Fraction else _rational(x) for x in values]
     s = lcm(*[x.denominator for x in values])
     return [x.numerator * (s // x.denominator) for x in values], s
 

@@ -23,6 +23,8 @@ from fractions import Fraction
 from operator import add
 from types import MappingProxyType
 
+from .linalg import _rational
+
 RING_XY = ("X", "Y")
 RING_BI = ("X1", "Y1", "X2", "Y2")
 RING_XYZ = ("X", "Y", "Z")
@@ -43,7 +45,7 @@ class MPoly:
                 raise ValueError(f"exponent vector {exps} has arity {len(exps)}, ring has {n}")
             if any(e < 0 or e != int(e) for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
-            coeff = Fraction(coeff)
+            coeff = _rational(coeff)
             if coeff == 0:
                 continue
             if exps in clean:
@@ -70,7 +72,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, ring, c):
-        c = Fraction(c)
+        c = _rational(c)
         if c == 0:
             return cls.zero(ring)
         return cls(ring, {(0,) * len(ring): c})
@@ -150,7 +152,7 @@ class MPoly:
         return self.scale(other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _rational(c)
         if c == 0:
             return MPoly.zero(self.ring)
         return MPoly._trusted(self.ring, {e: c * v for e, v in self._terms.items()})
@@ -192,7 +194,7 @@ class MPoly:
         """Exact value at a point given as a sequence of Fractions."""
         if len(point) != len(self.ring):
             raise ValueError(f"point arity {len(point)} != ring arity {len(self.ring)}")
-        point = [Fraction(x) for x in point]
+        point = [_rational(x) for x in point]
         total = Fraction(0)
         for e, c in self._terms.items():
             v = c

@@ -31,9 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 1800
 
-MODULES = ("linalg", "actions", "curves", "checks")
-LINALG, ACTIONS, CURVES, CHECKS = (f"src/biforms/{m}.py" for m in MODULES)
-T_LINALG, T_ACTIONS, T_CURVES, T_CHECKS = (f"tests/test_{m}.py" for m in MODULES)
+MODULES = ("linalg", "actions", "curves", "checks", "transvectant")
+LINALG, ACTIONS, CURVES, CHECKS, TRANSVECTANT = (f"src/biforms/{m}.py" for m in MODULES)
+T_LINALG, T_ACTIONS, T_CURVES, T_CHECKS, T_TRANSVECTANT = (f"tests/test_{m}.py"
+                                                           for m in MODULES)
 
 # (name, file, old text, new text, tests expected to fail)
 MUTANTS = [
@@ -75,8 +76,30 @@ MUTANTS = [
      "(tuple(-m for m in minors) if not dim % 2 else minors)",
      [f"{T_CHECKS}::test_fast_checks_pass"]),
     ("floats-let-through", LINALG,
-     "        if isinstance(x, float):\n", "        if isinstance(x, complex):\n",
+     "    if isinstance(x, float):\n", "    if isinstance(x, complex):\n",
      [f"{T_LINALG}::test_floats_are_refused_at_the_rational_boundary"]),
+    ("representation-transposed", ACTIONS,
+     "line = {place[i]: G[i][j] for i in range(n) if G[i][j]}",
+     "line = {place[i]: G[j][i] for i in range(n) if G[j][i]}",
+     [f"{T_ACTIONS}::test_act_matches_oracle",
+      f"{T_ACTIONS}::test_act_binary_and_matrix_match_oracle",
+      f"{T_ACTIONS}::test_act_ternary_matches_oracle"]),
+    ("act-without-denominator-power", ACTIONS,
+     "        den *= m._den ** d\n", "",
+     [f"{T_ACTIONS}::test_act_matches_oracle",
+      f"{T_ACTIONS}::test_act_ternary_matches_oracle"]),
+    ("cayley-first-pair-sign-dropped", TRANSVECTANT,
+     "ci = (-1) ** i * comb(r, i) * c", "ci = comb(r, i) * c",
+     [f"{T_TRANSVECTANT}::test_transvectant_against_monomial_oracle",
+      f"{T_TRANSVECTANT}::test_bitransvectant_matches_oracle",
+      f"{T_TRANSVECTANT}::test_transvectant_matrix_matches_oracle"]),
+    ("top-minors-laplace-sign-without-j", LINALG,
+     "            sign = -1 if j % 2 else 1\n", "            sign = 1\n",
+     [f"{T_LINALG}::test_top_minors_examples",
+      f"{T_LINALG}::test_top_minors_match_per_subset_det"]),
+    ("apolar-over-p-denominator", TRANSVECTANT,
+     "BinaryForm._make(d - e, out, p._den * q._den)", "BinaryForm._make(d - e, out, p._den)",
+     [f"{T_TRANSVECTANT}::test_apolar_matches_oracle"]),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -401,6 +402,35 @@ def test_act_binary_and_matrix_match_oracle():
         det_scalar(GroupPair(IDENT, IDENT), Subspace.from_vectors(0, []))
 
 
+UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# C13's scalings and torus elements
+C13_ELEMENTS = tuple(G3Element(m) for m in (
+    [[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 2]], [[Fraction(1, 3), 0, 0], [0, 1, 0], [0, 0, 3]],
+    [[2, 0, 0], [0, 3, 0], [0, 0, Fraction(5, 7)]], [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 4]]))
+
+
+def _ternary_images(g):
+    """oracle.substitute's images for the rows g of a 3x3 matrix: the j-th
+    variable goes to sum_i g[i][j] * (the i-th variable)."""
+    return [{u: g[i][j] for i, u in enumerate(UNITS) if g[i][j]} for j in range(3)]
+
+
+def test_act_ternary_matches_oracle():
+    rng = Random("ternary-oracle")
+    permutations = [G3Element.substitution([UNITS[i] for i in p])
+                    for p in itertools.permutations(range(3))]
+    rational = G3Element([[Fraction(2, 3), -1, 0], [4, Fraction(-1, 5), 2], [1, 0, Fraction(7, 2)]])
+    for d in range(6):
+        basis = ternary_basis(d)
+        elements = [*permutations, *C13_ELEMENTS, rational, _random_g3(rng), _random_g3(rng)]
+        for f in _oracle_forms(rng, TernaryForm, d, basis):
+            for g in elements:
+                expected = oracle.substitute(to_dict(f), _ternary_images(rows(g.mat)), 3)
+                assert act_ternary(g, f) == like(f, expected)
+    with pytest.raises(ValueError):
+        act_ternary(rational, BinaryForm.zero(2))
+
+
 def _act_on_c10_pattern(rng, elements):
     """elements[0] on every monomial and on one dense rational form of each
     bidegree up to (4, 8), C10's access pattern, with elements[1] and
@@ -440,6 +470,17 @@ def test_representation_cache_on_the_c10_pattern(monkeypatch):
     assert type(value) is tuple
     assert all(type(c) is tuple and all(type(p) is tuple for p in c) for c in value)
     assert value is cached(((2, 1), (1, 1)), 3)
+    # 2x2 and 3x3 keys of the same degree sit in the cache side by side
+    g3 = ((2, -1, 0), (1, 3, 1), (0, 1, -2))
+    for d in range(5):
+        two, three = cached(((2, 1), (1, 1)), d), cached(g3, d)
+        assert cached(((2, 1), (1, 1)), d) is two and cached(g3, d) is three
+        matrix = oracle_action_rows([[2, 1], [1, 1]], d)
+        assert [dict(c) for c in two] == [{j: row[k] for j, row in enumerate(matrix) if row[k]}
+                                          for k in range(d + 1)]
+        basis = ternary_basis(d)
+        assert [{basis[j]: x for j, x in c} for c in three] == [
+            oracle.substitute({e: 1}, _ternary_images(g3), 3) for e in basis]
     # bounded to 4 keys, the interleaved elements evict each other's columns,
     # which are rebuilt: more misses than keys
     small = lru_cache(maxsize=4)(cached.__wrapped__)

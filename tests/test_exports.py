@@ -7,6 +7,9 @@ benchmark in perfbench/ (imported from biforms, read off a biforms module,
 or given as a string, as the tracer names what it wraps).  The code is read
 through its syntax tree, so a docstring or comment that mentions a name does
 not count as a use.
+
+The same syntax trees keep MPoly at the text boundary: only the modules that
+export it, parse into it or build forms from it import poly.
 """
 
 import ast
@@ -78,3 +81,21 @@ def test_every_exported_name_has_a_caller():
     unused = sorted(name for name in _exported() - used
                     if not re.search(rf"\b{name}\b", readme))
     assert not unused, f"exported but used only by the tests: {unused}"
+
+
+def _imports_poly(node):
+    if isinstance(node, ast.ImportFrom):
+        module = ("." * node.level) + (node.module or "")
+        return module in (".poly", "biforms.poly") or (
+            module in (".", "biforms") and any(alias.name == "poly" for alias in node.names))
+    return isinstance(node, ast.Import) and any(alias.name == "biforms.poly"
+                                                for alias in node.names)
+
+
+def test_only_the_text_boundary_imports_poly():
+    """MPoly stays where text becomes forms: only __init__.py (the export),
+    parsing.py and forms.py import from poly, so no computation (a
+    substitution, a product) can go back through MPoly."""
+    importers = {path.name for path in PACKAGE.glob("*.py") if path.name != "poly.py"
+                 if any(map(_imports_poly, ast.walk(ast.parse(path.read_text()))))}
+    assert importers == {"__init__.py", "parsing.py", "forms.py"}

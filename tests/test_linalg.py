@@ -467,12 +467,16 @@ def test_qmat_storage_invariants():
 
 def test_floats_are_refused_at_the_rational_boundary():
     # 0.5 is exact in binary, so refusing it is about the type, not the value
-    from biforms import BinaryForm, GroupPair, from_binomial_coeffs
+    from biforms import RING_XY, BinaryForm, GroupPair, MPoly, from_binomial_coeffs
     w = Subspace.from_vectors(2, [[1, 0]])
+    px = MPoly.variable(RING_XY, "X")
     refusals = (lambda: QMat([[1, 0.5]]), lambda: BinaryForm.from_coeff_vector(1, [0.5, 1]),
                 lambda: GroupPair(((0.5, 0), (0, 1)), ((1, 0), (0, 1))),
                 lambda: w.residual([1, 0.5]), lambda: QMat([[1]]) * 0.5,
-                lambda: 0.5 * BinaryForm.parse("X"), lambda: from_binomial_coeffs(1, [0.5, 1]))
+                lambda: 0.5 * BinaryForm.parse("X"), lambda: from_binomial_coeffs(1, [0.5, 1]),
+                lambda: MPoly(RING_XY, {(1, 0): 0.5}), lambda: MPoly.constant(RING_XY, 0.5),
+                lambda: px * 0.5, lambda: 0.5 * px, lambda: px.scale(0.5), lambda: px + 0.5,
+                lambda: px.evaluate([0.5, 1]))
     for build in refusals:
         with pytest.raises(TypeError, match="0.5"):
             build()
@@ -485,6 +489,9 @@ def test_floats_are_refused_at_the_rational_boundary():
     assert BinaryForm.from_coeff_vector(1, [half, False]) == BinaryForm.parse("1/2*X")
     assert w.residual([True, half]) == (0, half)
     assert GroupPair(((half, 0), (0, True)), ((1, 0), (0, 1))).g1 == QMat([[half, 0], [0, 1]])
+    assert MPoly(RING_XY, {(1, 0): half}) == px * "1/2" == half * px == px.scale(Fraction(2, 4))
+    assert MPoly.constant(RING_XY, True) == MPoly(RING_XY, {(0, 0): 1})
+    assert (px * px).evaluate([half, 1]) == Fraction(1, 4) == px.evaluate(["1/4", 0])
 
 
 def test_products_match_fraction_oracle():
