@@ -25,7 +25,8 @@ print("d/dY twice of X^2*Y^6:", parse_form("X^2*Y^6", RING_XY).diff("Y", 2))
 f = BinaryForm.parse("X^2*Y^6")
 g = BinaryForm.parse("X^4")
 print("\nT_2(X^2*Y^6, X^4) =", transvectant(f, g, 2))
-print("T_0 is the plain product:", transvectant(f, g, 0) == BinaryForm(12, f.poly * g.poly))
+product = parse_form(str(f), RING_XY) * parse_form(str(g), RING_XY)
+print("T_0 is the plain product:", transvectant(f, g, 0) == BinaryForm.parse(str(product)))
 print("T_1(X, Y) =", transvectant(BinaryForm.parse("X"), BinaryForm.parse("Y"), 1))
 
 # the extreme transvectant doubles as a differential operator

@@ -18,7 +18,6 @@ from biforms import (
     image_subspace,
     is_squarefree,
     phi_components,
-    reassemble,
     span_dim,
     top_minors,
 )
@@ -28,21 +27,18 @@ rng = Random("space-curves")
 
 # --- components of the curve map ---------------------------------------------
 C = BiForm.parse("X1*Y2^2 + Y1*X2^2")
-cm = phi_components(C)
-print("components of", C, "->", [str(c) for c in cm.components])
-print("reassembles exactly:", reassemble(cm) == C)
+print("components (c_0, c_1, c_2) of", C, "->", tuple(str(c) for c in phi_components(C)))
 
 # --- span, degree, and Pluecker coordinates ----------------------------------
 for (a, b) in [(1, 4), (2, 3), (2, 5), (3, 4)]:
     f = random_biform(rng, a, b)
-    cm = phi_components(f)
     w = image_subspace(f)
     plucker = top_minors(w.basis.transpose())
     print(f"\nrandom bidegree ({a},{b}):")
-    print(f"  span dimension {span_dim(cm)} (expected {a})")
-    print(f"  hyperplane degree {hyperplane_degree(cm, seed=0)} (expected {a})")
+    print(f"  span dimension {span_dim(f)} (expected {a})")
+    print(f"  hyperplane degree {hyperplane_degree(f, seed=0)} (expected {a})")
     print(f"  image is a {w.dim}-dim subspace of Q^{b + 1};"
-          f" {len(plucker)} Pluecker coordinates, first few {plucker[:4]}")
+          f" {len(plucker)} Pluecker coordinates, first few {', '.join(map(str, plucker[:4]))}")
 
 # --- branch forms -------------------------------------------------------------
 print("\nbranch forms of the projection to the parameter line:")

@@ -25,7 +25,6 @@ from .forms import (
 from .linalg import (
     QMat,
     Subspace,
-    column_space,
     det,
     kernel_basis,
     rank,
@@ -55,14 +54,12 @@ from .actions import (
     weight_of,
 )
 from .curves import (
-    CurveMap,
     binary_gcd,
     branch_form,
     hyperplane_degree,
     image_subspace,
     is_squarefree,
     phi_components,
-    reassemble,
     singular_system,
     span_dim,
     sylvester_resultant,

@@ -51,7 +51,6 @@ from .curves import (
     branch_form,
     hyperplane_degree,
     is_squarefree,
-    phi_components,
     singular_system,
     span_dim,
     sylvester_resultant,
@@ -308,8 +307,7 @@ def _check_c07(rng: Random, seed: int):
 
 def _check_c08(rng: Random, seed: int):
     def sample(f, a, b, key):
-        cm = phi_components(f)
-        hd, sd = hyperplane_degree(cm, seed=key), span_dim(cm)
+        hd, sd = hyperplane_degree(f, seed=key), span_dim(f)
         return hd == a and sd == a, {"hyperplane_degree": hd, "span_dim": sd}
     return _quota_grid("C08", seed, sample, lambda a, b: {})
 

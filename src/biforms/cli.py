@@ -21,7 +21,7 @@ import sys
 from functools import lru_cache
 
 from .checks import REGISTRY, Report, VERSION, emit, run_all, run_check
-from .curves import branch_form, hyperplane_degree, phi_components, span_dim
+from .curves import branch_form, hyperplane_degree, span_dim
 from .forms import BiForm, BinaryForm
 from .linalg import kernel_basis
 from .parsing import ParseError
@@ -45,8 +45,11 @@ def _cmd_verify(args):
     fmt = "markdown" if args.format == "md" else args.format
     text = emit(report, fmt)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(text)
     return 0 if all(c.status == "pass" for c in report.checks) else 1
@@ -90,9 +93,9 @@ def _cmd_curve(args):
     if args.branch:
         print(branch_form(f))
     elif args.span:
-        print(span_dim(phi_components(f)))
+        print(span_dim(f))
     else:
-        degree = hyperplane_degree(phi_components(f), args.seed)
+        degree = hyperplane_degree(f, args.seed)
         print("degenerate" if degree is None else degree)
     return 0
 

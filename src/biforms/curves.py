@@ -17,8 +17,10 @@ evaluated by Horner at t = 0..2a(b-1), and each Sylvester determinant is an
 integer Bareiss pass.  These samples are the values of an integer
 polynomial in t, so its Newton divided differences are exact integer
 divisions; the Newton form is expanded on integers and stored over the one
-denominator s^(2(b-1)).  The components, the span and the image subspace
-are slices and reshapes of F's integer vector.
+denominator s^(2(b-1)).  Every other curve function reads F's integer
+vector as the matrix of the map, a+1 rows of b+1 (_rows): the span and the
+image subspace are its rank and row space, and the components its columns,
+c_0 last.
 
 A binary form is squarefree when the Sylvester resultant of its two
 partials is nonzero.  The gcd of two binary forms, which gives the base
@@ -36,65 +38,35 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .forms import BiForm, BinaryForm, _common, ternary_basis
-from .linalg import QMat, Subspace, _bareiss, _int_det, _integer_row, column_space, kernel_basis, rank
+from .forms import BiForm, BinaryForm, ternary_basis
+from .linalg import QMat, Subspace, _bareiss, _int_det, _integer_row, _rank, kernel_basis
 
 
-class CurveMap:
-    """Component forms (c_0..c_b) of a biform, each of degree a in (X1,Y1)."""
-
-    __slots__ = ("source_degree", "components")
-
-    def __init__(self, source_degree, components):
-        components = tuple(components)
-        for c in components:
-            if c.degree != source_degree:
-                raise ValueError("all components must share the source degree")
-        if all(c.is_zero() for c in components):
-            raise ValueError("all components are zero")
-        self.source_degree = source_degree
-        self.components = components
-
-    @property
-    def target_degree(self):
-        return len(self.components) - 1
-
-    def __repr__(self):
-        return f"CurveMap(a={self.source_degree}, b={self.target_degree})"
-
-
-def phi_components(f: BiForm) -> CurveMap:
-    """Extract (c_0..c_b) with F = sum_j c_j(X1,Y1) X2^j Y2^(b-j)."""
+def _rows(f: BiForm):
+    """F's integer numerators as a+1 rows of b+1, the matrix of the curve map:
+    row i holds the X1^(a-i) Y1^i terms and column k the X2^(b-k) Y2^k ones,
+    so column b - j is c_j (times F's denominator)."""
     if f.is_zero():
         raise ValueError("zero form")
+    num, n = f._num, f.bidegree[1] + 1
+    return [list(num[i:i + n]) for i in range(0, len(num), n)]
+
+
+def phi_components(f: BiForm) -> tuple:
+    """(c_0..c_b), each of degree a, with F = sum_j c_j(X1,Y1) X2^j Y2^(b-j)."""
     a, b = f.bidegree
-    # X1^(a-i) Y1^i X2^j Y2^(b-j) sits at index i*(b+1) + b - j
-    return CurveMap(a, [BinaryForm._make(a, f._num[b - j::b + 1], f._den) for j in range(b + 1)])
+    rows = _rows(f)
+    return tuple(BinaryForm._make(a, [row[b - j] for row in rows], f._den) for j in range(b + 1))
 
 
-def reassemble(cm: CurveMap) -> BiForm:
-    """Inverse of phi_components."""
-    a, b = cm.source_degree, cm.target_degree
-    den, nums = _common(cm.components)
-    vec = [0] * ((a + 1) * (b + 1))
-    for j, num in enumerate(nums):
-        vec[b - j::b + 1] = num
-    return BiForm._make((a, b), vec, den)
-
-
-def span_dim(cm: CurveMap) -> int:
+def span_dim(f: BiForm) -> int:
     """Projective dimension of the linear span of the image; at most min(a,b)."""
-    # column j is c_j's vector; scaling a column keeps the rank
-    return rank(QMat._make(list(zip(*(c._num for c in cm.components))), 1)) - 1
+    return _rank([_rows(f)]) - 1
 
 
 def image_subspace(f: BiForm) -> Subspace:
-    """Column space in V_b of the linear map induced by F (dim = span_dim + 1)."""
-    if f.is_zero():
-        raise ValueError("zero form")
-    b = f.bidegree[1]
-    # row k, column i: F's coefficient at X1^(a-i) Y1^i X2^(b-k) Y2^k (times den)
-    return column_space(QMat._make([f._num[k::b + 1] for k in range(b + 1)], 1))
+    """The span in V_b of the rows of F's matrix (dim = span_dim + 1)."""
+    return Subspace._span(f.bidegree[1] + 1, _rows(f))
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +229,20 @@ def _horner(coeffs, t):
     return acc
 
 
-def hyperplane_degree(cm: CurveMap, seed) -> int | None:
+def hyperplane_degree(f: BiForm, seed) -> int | None:
     """Degree of (lambda . phi) / gcd(components) for a seeded random lambda.
 
     Equals the source degree a for generic input.  Returns None in the
     measure-zero event that the drawn functional annihilates the map (callers
     treat that sample as degenerate).
     """
+    a, b = f.bidegree
     rng = Random(f"hyperplane:{seed}")
-    lam = [rng.randint(-9, 9) for _ in cm.components]
-    _, nums = _common(cm.components)
-    if not any(sum(L * num[k] for L, num in zip(lam, nums))
-               for k in range(cm.source_degree + 1)):
+    lam = [rng.randint(-9, 9) for _ in range(b + 1)]
+    # lambda_j meets c_j, which is column b - j of each row
+    if not any(sum(L * x for L, x in zip(lam, row[::-1])) for row in _rows(f)):
         return None
-    return cm.source_degree - gcd_all(cm.components).degree
+    return a - gcd_all(phi_components(f)).degree
 
 
 # ---------------------------------------------------------------------------

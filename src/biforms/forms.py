@@ -7,8 +7,9 @@ FLINT's fmpq_poly): `_num`, a tuple of ints in the canonical basis order, and
 zero form has den = 1, so equality and hashing are tuple operations; `_make`
 is the one private constructor, reducing the pair by linalg._reduce as QMat
 does.  The integer kernels read and write this storage directly, and forms
-print straight from it.  Only parsing needs an MPoly: the public constructor
-checks one term by term, and `poly` builds the equal MPoly on each access.
+print straight from it.  `parse` reads the parser's terms into this
+storage, checking each term's degree; reduced Fractions over their lcm are
+canonical already, so it builds the pair without `_make`.
 
 The three public classes only declare their ring and its variable groups: a
 binary form lives on (X, Y), one group of two; a biform on (X1, Y1 | X2, Y2),
@@ -34,7 +35,7 @@ from math import comb, lcm, perm, prod
 
 from .linalg import _integer_row, _reduce
 from .parsing import format_terms, parse_form
-from .poly import MPoly, RING_BI, RING_XY, RING_XYZ
+from .poly import RING_BI, RING_XY, RING_XYZ
 
 
 def _monomials(n, d):
@@ -88,29 +89,12 @@ class _Form:
 
     A subclass declares `ring`, the sizes `groups` of its consecutive
     variable groups, and `grade`, which maps an exponent tuple to its degree
-    as the constructor takes it: an int for one group, a tuple of ints for
+    as `parse` takes it: an int for one group, a tuple of ints for
     several.  The degree is kept in the slot `_degree`, which each subclass
     also binds under its public name.
     """
 
     __slots__ = ("_degree", "_num", "_den")
-
-    def __init__(self, degree, poly):
-        if poly.ring != self.ring:
-            raise ValueError(f"{type(self).__name__} requires ring {self.ring}")
-        index = _basis(self.groups, self._grading(degree))
-        terms = poly.terms
-        num = [0] * len(index)
-        ints, den = _integer_row(list(terms.values()))
-        for exps, n in zip(terms, ints):
-            i = index.get(exps)
-            if i is None:
-                raise ValueError(f"term {exps} is not of degree {degree}")
-            num[i] = n
-        # reduced Fractions over their lcm share no factor with it: canonical
-        self._degree = degree
-        self._num = tuple(num)
-        self._den = den
 
     @classmethod
     def _grading(cls, degree):
@@ -145,23 +129,24 @@ class _Form:
         return cls._make(degree, (0,) * len(_basis(cls.groups, cls._grading(degree))), 1)
 
     @classmethod
-    def from_poly(cls, poly, degree=None):
-        """Wrap a homogeneous MPoly; the degree is read off a term when not given."""
-        if degree is None:
-            if poly.is_zero():
-                raise ValueError("zero polynomial needs an explicit degree")
-            if poly.ring == cls.ring:  # otherwise the constructor rejects the ring
-                degree = cls.grade(next(iter(poly.terms)))
-        return cls(degree, poly)
-
-    @classmethod
     def parse(cls, text, degree=None):
-        return cls.from_poly(parse_form(text, cls.ring), degree)
-
-    @property
-    def poly(self):
-        """The equal MPoly, built on each access."""
-        return MPoly._trusted(self.ring, dict(self._terms()))
+        """The form text denotes; the degree is read off a term when not given."""
+        terms = parse_form(text, cls.ring).terms
+        if degree is None:
+            if not terms:
+                raise ValueError("zero polynomial needs an explicit degree")
+            degree = cls.grade(next(iter(terms)))
+        index = _basis(cls.groups, cls._grading(degree))
+        num = [0] * len(index)
+        ints, den = _integer_row(list(terms.values()))
+        for exps, n in zip(terms, ints):
+            i = index.get(exps)
+            if i is None:
+                raise ValueError(f"term {exps} is not of degree {degree}")
+            num[i] = n
+        new = object.__new__(cls)
+        new._degree, new._num, new._den = degree, tuple(num), den
+        return new
 
     def coeff_vector(self):
         """Coefficients in the canonical basis, as Fractions."""

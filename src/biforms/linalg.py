@@ -348,11 +348,6 @@ def kernel_basis(m: QMat) -> Subspace:
     return Subspace(m.cols, QMat._make(vectors, den, m.cols))
 
 
-def column_space(m: QMat) -> Subspace:
-    """Canonical subspace of Q^rows spanned by the columns of m."""
-    return Subspace._span(m.rows, [list(c) for c in _columns(m)])
-
-
 def det(m: QMat) -> Fraction:
     """Exact determinant (fraction-free Bareiss on the integer rows)."""
     if m.rows != m.cols:

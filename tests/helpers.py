@@ -14,11 +14,12 @@ This module adds only what the benchmark does not need: the Lie action as
 the derivative of substitution, the commutator of two matrices,
 binomial-scaled coordinates, the apolar operator, the singular systems,
 the branch form (by evaluation, by the b = 2 closed form and by a symbolic
-Laplace determinant), a Euclid gcd, the matrix of the binary action, the
+Laplace determinant), a Euclid gcd, a curve's components and its
+hyperplane combination, the matrix of the binary action, the
 transvectant matrix, the subspace oracles and a cofactor determinant.
 
 The package is touched only at the boundary (`to_dict`, `to_form`, `like`,
-`rows`): a form enters through `coeff_vector` and leaves through
+`times`, `rows`): a form enters through `coeff_vector` and leaves through
 `from_coeff_vector`, both read against the oracle's own bases, so a
 basis-order slip in the package cannot cancel out, and a matrix enters
 through `QMat.entries`.  tests/test_helpers.py keeps the imports from
@@ -32,6 +33,7 @@ import importlib.util
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
+from random import Random
 
 from biforms.actions import GroupPair, LiePair
 from biforms.forms import BiForm, BinaryForm, TernaryForm
@@ -94,6 +96,15 @@ def to_form(cls, degree, terms):
 def like(f, terms):
     """The form of f's type and degree with these terms."""
     return to_form(type(f), _degree(f), terms)
+
+
+def times(f, g):
+    """The product of two forms of one type, by oracle.pmul on their terms."""
+    if isinstance(f, BiForm):
+        degree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
+    else:
+        degree = f.degree + g.degree
+    return to_form(type(f), degree, oracle.pmul(to_dict(f), to_dict(g)))
 
 
 def rows(m):
@@ -339,6 +350,26 @@ def oracle_binary_gcd(f, g):
     core = _univ_gcd(fu, gu)
     k = len(core) - 1
     return mx + my + k, {(mx + t, my + k - t): c for t, c in enumerate(core) if c}
+
+
+def oracle_components(f, b):
+    """The binary dicts (c_0..c_b) of a biform dict f of bidegree (a, b), with
+    F = sum_j c_j(X1,Y1) X2^j Y2^(b-j)."""
+    components = [{} for _ in range(b + 1)]
+    for (i, j, k, _), c in f.items():
+        components[k][(i, j)] = c
+    return components
+
+
+def oracle_hyperplane_combo(f, b, seed):
+    """sum_j lambda_j c_j of a biform dict, lambda drawn as hyperplane_degree
+    draws it for this seed (as perfbench/workloads.py does)."""
+    rng = Random(f"hyperplane:{seed}")
+    lam = [rng.randint(-9, 9) for _ in range(b + 1)]
+    out = {}
+    for L, c in zip(lam, oracle_components(f, b)):
+        out = oracle.padd(out, {e: L * v for e, v in c.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------

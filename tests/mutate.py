@@ -100,6 +100,21 @@ MUTANTS = [
     ("apolar-over-p-denominator", TRANSVECTANT,
      "BinaryForm._make(d - e, out, p._den * q._den)", "BinaryForm._make(d - e, out, p._den)",
      [f"{T_TRANSVECTANT}::test_apolar_matches_oracle"]),
+    ("hyperplane-lambda-paired-with-column-j", CURVES,
+     "zip(lam, row[::-1])", "zip(lam, row)",
+     [f"{T_CURVES}::test_hyperplane_degree_is_degenerate_exactly_when_the_functional_kills_the_map"]),
+    ("lie-x01-x10-swapped", ACTIONS,
+     "x01 * a + x10 * b + x00 * c", "x10 * a + x01 * b + x00 * c",
+     [f"{T_ACTIONS}::test_lie_act_examples",
+      f"{T_ACTIONS}::test_exp_of_nilpotent_matches_act",
+      f"{T_ACTIONS}::test_lie_act_matches_oracle"]),
+    ("annihilator-sign-flipped", ACTIONS,
+     "big * image[j] - sum(map(mul, coords, column))",
+     "big * image[j] + sum(map(mul, coords, column))",
+     [f"{T_ACTIONS}::test_subspace_stabilizer_matches_oracle_on_special_subspaces"]),
+    ("branch-scale-s-to-the-n", CURVES,
+     "s ** (2 * n)", "s ** n",
+     [f"{T_CURVES}::test_branch_form_matches_oracle"]),
 ]
 
 

@@ -25,7 +25,6 @@ from biforms import (
     is_squarefree,
     kernel_basis,
     matrix_of_binary_action,
-    phi_components,
     projective_stabilizer_dim,
     rank,
     rref,
@@ -174,9 +173,8 @@ def test_criterion_06_degree_span_branch_grid(full_report):
         for k in range(100):
             f = random_biform(sub, a, b)
             bf = branch_form(f)
-            cm = phi_components(f)
-            hd = hyperplane_degree(cm, seed=f"acceptance6|{a},{b}|{k}")
-            sd = span_dim(cm)
+            hd = hyperplane_degree(f, seed=f"acceptance6|{a},{b}|{k}")
+            sd = span_dim(f)
             if not bf.is_zero() and bf.degree == target and hd == a and sd == a:
                 good += 1
             else:

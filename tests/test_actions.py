@@ -30,7 +30,6 @@ from biforms import (
 )
 from biforms.actions import SL2_F, SL2_H
 from biforms.checks import FREENESS_GRID
-from biforms.poly import MPoly, RING_BI
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair, random_subspace
 from helpers import (
     like,
@@ -47,7 +46,9 @@ from helpers import (
     random_lie_pair,
     random_traceless,
     rows,
+    times,
     to_dict,
+    to_form,
 )
 
 IDENT = ((1, 0), (0, 1))
@@ -159,9 +160,8 @@ def test_lie_leibniz():
         x = random_lie_pair(rng)
         f = random_biform(rng, 1, 2)
         g = random_biform(rng, 1, 3)
-        prod = BiForm((2, 5), f.poly * g.poly)
-        lhs = lie_act(x, prod)
-        rhs = BiForm((2, 5), lie_act(x, f).poly * g.poly + f.poly * lie_act(x, g).poly)
+        lhs = lie_act(x, times(f, g))
+        rhs = times(lie_act(x, f), g) + times(f, lie_act(x, g))
         assert lhs == rhs
 
 
@@ -234,7 +234,7 @@ def _torus_eigenform(rng, a, b, step):
     """Monomials on the line k2 = step*k1 of Y-exponents: an eigenform of step*H1 - H2."""
     terms = {(a - k1, k1, b - step * k1, step * k1): Fraction(rng.choice([-3, 1, 2, 5]), 3)
              for k1 in range(a + 1) if step * k1 <= b}
-    return BiForm((a, b), MPoly(RING_BI, terms))
+    return to_form(BiForm, (a, b), terms)
 
 
 def test_projective_stabilizer_matches_oracle_on_special_orbits():
@@ -535,10 +535,9 @@ def test_transvectant_equivariance():
 
 def test_center_scalar_bookkeeping():
     from biforms.forms import biform_basis
-    from biforms.poly import MPoly, RING_BI
     for a in range(0, 9):
         for b in range(0, 9):
             for exps in biform_basis(a, b):
-                mono = BiForm((a, b), MPoly(RING_BI, {exps: Fraction(1)}))
+                mono = to_form(BiForm, (a, b), {exps: Fraction(1)})
                 assert act(GroupPair(MINUS, IDENT), mono) == (-1) ** a * mono
                 assert act(GroupPair(IDENT, MINUS), mono) == (-1) ** b * mono

@@ -95,6 +95,15 @@ def test_usage_error_exits_2():
     assert main(["kernel", "--form", "0", "--r", "0", "--s", "0", "--source", "1,1"]) == 2
 
 
+def test_verify_to_an_unwritable_path_exits_2(capsys, tmp_path):
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main(["verify", "--check", "C05", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_malformed_source_exits_2(capsys):
     assert main(["kernel", "--form", "X1*X2", "--r", "0", "--s", "0", "--source", "1"]) == 2
     assert "bad --source" in capsys.readouterr().err

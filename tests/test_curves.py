@@ -18,60 +18,96 @@ from biforms import (
     image_subspace,
     is_squarefree,
     phi_components,
-    reassemble,
     singular_system,
     span_dim,
     sylvester_resultant,
+    tensor_product,
 )
 from biforms.checks import DEGREE_GRID
-from biforms.curves import CurveMap, _interpolate, gcd_all
+from biforms.curves import _interpolate, gcd_all
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair
 from helpers import (
     dict_diff,
+    oracle,
     oracle_act_on_subspace,
     oracle_binary_gcd,
     oracle_branch_form,
+    oracle_components,
     oracle_discriminant_b2,
+    oracle_hyperplane_combo,
     oracle_singular_system,
     oracle_symbolic_branch_form,
     oracle_ternary_basis,
     pair_text,
     rows,
+    times,
     to_dict,
     to_form,
 )
 
 
+def _from_components(a, b, components):
+    """The bidegree-(a,b) biform sum_j c_j(X1,Y1) X2^j Y2^(b-j) of binary dicts."""
+    return to_form(BiForm, (a, b), {(i, k, j, b - j): c for j, comp in enumerate(components)
+                                    for (i, k), c in comp.items()})
+
+
 def test_phi_components_examples():
     f = BiForm.parse("X1*Y2^2 + Y1*X2^2")
-    cm = phi_components(f)
-    assert cm.components == (BinaryForm.parse("X"), BinaryForm.zero(1), BinaryForm.parse("Y"))
+    assert phi_components(f) == (BinaryForm.parse("X"), BinaryForm.zero(1), BinaryForm.parse("Y"))
     mono = BiForm.parse("X1^2*X2^5")
-    cm2 = phi_components(mono)
-    assert sum(1 for c in cm2.components if not c.is_zero()) == 1
+    assert sum(1 for c in phi_components(mono) if not c.is_zero()) == 1
     rng = Random("phi-roundtrip")
-    g = random_biform(rng, 2, 5)
-    assert reassemble(phi_components(g)) == g
-    with pytest.raises(ValueError):
-        phi_components(BiForm.zero((1, 2)))
+    for a, b in [(2, 5), (0, 3), (3, 0), (1, 1)]:
+        g = Fraction(2, 3) * random_biform(rng, a, b)
+        assert [to_dict(c) for c in phi_components(g)] == oracle_components(to_dict(g), b)
+    zero = BiForm.zero((1, 2))
+    for function in (phi_components, span_dim, image_subspace,
+                     lambda f: hyperplane_degree(f, seed=0)):
+        with pytest.raises(ValueError, match="zero form"):
+            function(zero)
+
+
+def _span_cases(rng):
+    """Random biforms, and sums of k decomposables (span dimension k - 1 at most)."""
+    for a, b in [(2, 5), (3, 7), (1, 1), (0, 4), (4, 0), (3, 3)]:
+        yield random_biform(rng, a, b)
+        for k in range(1, 4):
+            total = {}
+            for _ in range(k):
+                p, q = random_binary_form(rng, a), random_binary_form(rng, b)
+                total = oracle.padd(total, to_dict(tensor_product(p, q)))
+            if total:
+                yield to_form(BiForm, (a, b), total)
 
 
 def test_span_dim_examples():
     rng = Random("span")
-    assert span_dim(phi_components(random_biform(rng, 2, 5))) == 2
-    assert span_dim(phi_components(BiForm.parse("X1^2*X2^5"))) == 0
-    assert span_dim(phi_components(random_biform(rng, 3, 7))) == 3
+    assert span_dim(random_biform(rng, 2, 5)) == 2
+    assert span_dim(BiForm.parse("X1^2*X2^5")) == 0
+    assert span_dim(random_biform(rng, 3, 7)) == 3
+    for f in _span_cases(rng):
+        a, b = f.bidegree
+        matrix = [[c.get((i, a - i), 0) for c in oracle_components(to_dict(f), b)]
+                  for i in range(a, -1, -1)]
+        assert span_dim(f) == oracle.rank(matrix) - 1
 
 
 def test_image_subspace_examples():
     rng = Random("image")
     f = random_biform(rng, 2, 5)
     w = image_subspace(f)
-    assert w.ambient_dim == 6 and w.dim == span_dim(phi_components(f)) + 1
+    assert w.ambient_dim == 6 and w.dim == span_dim(f) + 1
     mono = image_subspace(BiForm.parse("X1^2*X2^5"))
     assert mono.dim == 1 and mono.contains([1, 0, 0, 0, 0, 0])
     rank1 = image_subspace(BiForm.parse("(X1 + Y1)*(X2^2 + 3*Y2^2)"))
     assert rank1.dim == 1
+    for f in _span_cases(rng):
+        a, b = f.bidegree
+        # the image is spanned by the forms F(x1, y1; X2, Y2) at the points (1, t)
+        values = [[sum(c * t ** i for (_, i, k2, _), c in to_dict(f).items() if k2 == b - k)
+                   for k in range(b + 1)] for t in range(a + 1)]
+        assert image_subspace(f) == Subspace.from_vectors(b + 1, values)
 
 
 def test_image_subspace_equivariance():
@@ -86,26 +122,61 @@ def test_image_subspace_equivariance():
 
 def test_hyperplane_degree_examples():
     rng = Random("hyperplane")
-    assert hyperplane_degree(phi_components(random_biform(rng, 2, 3)), seed=1) == 2
-    assert hyperplane_degree(phi_components(BiForm.parse("X1^2*X2^5")), seed=1) == 0
-    assert hyperplane_degree(phi_components(random_biform(rng, 1, 6)), seed=2) == 1
+    assert hyperplane_degree(random_biform(rng, 2, 3), seed=1) == 2
+    assert hyperplane_degree(BiForm.parse("X1^2*X2^5"), seed=1) == 0
+    assert hyperplane_degree(random_biform(rng, 1, 6), seed=2) == 1
 
 
 def test_hyperplane_degree_never_exceeds_source_degree():
     rng = Random("hyperplane-bound")
+    x1 = BinaryForm.parse("X")
     for _ in range(30):
         a, b = rng.randint(1, 3), rng.randint(1, 5)
         f = random_biform(rng, a, b)
         if rng.random() < 0.3:   # mix in special forms with base points
-            x1 = BinaryForm.parse("X")
-            cm = phi_components(f)
-            f = reassemble(CurveMap(a, tuple(
-                BinaryForm(a, x1.poly * c.dx().poly) if not c.is_zero() and a >= 1 else c
-                for c in cm.components)))
+            f = _from_components(a, b, [to_dict(times(x1, c.dx())) for c in phi_components(f)])
             if f.is_zero():
                 continue
-        hd = hyperplane_degree(phi_components(f), seed=rng.randint(0, 99))
+        hd = hyperplane_degree(f, seed=rng.randint(0, 99))
         assert hd is None or hd <= f.bidegree[0]
+
+
+def _annihilated(rng, a, b, seed):
+    """A nonzero bidegree-(a,b) form whose map the seed's functional kills:
+    random c_j but one, c_m = -(sum over j != m of lambda_j c_j) / lambda_m."""
+    draw = Random(f"hyperplane:{seed}")
+    lam = [draw.randint(-9, 9) for _ in range(b + 1)]
+    m = next((j for j, L in enumerate(lam) if L), None)
+    if m is None:
+        return random_biform(rng, a, b)    # lambda = 0 kills every map
+    components = [to_dict(random_binary_form(rng, a)) for _ in range(b + 1)]
+    components[m] = {}
+    for j, c in enumerate(components):
+        components[m] = oracle.padd(components[m], {e: Fraction(-lam[j], lam[m]) * v
+                                                    for e, v in c.items()})
+    return _from_components(a, b, components)
+
+
+def test_hyperplane_degree_is_degenerate_exactly_when_the_functional_kills_the_map():
+    rng = Random("hyperplane-degenerate")
+    cases = [(random_biform(rng, a, b), seed)
+             for a in range(4) for b in range(5) for seed in range(3)]
+    cases += [(_annihilated(rng, a, b, seed), seed)
+              for a in range(4) for b in range(1, 5) for seed in range(3)]
+    verdicts = set()
+    for f, seed in cases:
+        (a, b), terms = f.bidegree, to_dict(f)
+        hd = hyperplane_degree(f, seed)
+        degenerate = not oracle_hyperplane_combo(terms, b, seed)
+        assert (hd is None) == degenerate
+        if not degenerate:
+            nonzero = [(a, c) for c in oracle_components(terms, b) if c]
+            g = nonzero[0]
+            for h in nonzero[1:]:
+                g = oracle_binary_gcd(g, h)
+            assert hd == a - g[0]
+        verdicts.add(degenerate)
+    assert verdicts == {False, True}
 
 
 def test_sylvester_resultant_examples():
@@ -132,7 +203,7 @@ def test_sylvester_resultant_properties():
         p1 = random_binary_form(rng, d)
         p2 = random_binary_form(rng, e)
         q = random_binary_form(rng, k)
-        prod = BinaryForm(d + e, p1.poly * p2.poly)
+        prod = times(p1, p2)
         assert sylvester_resultant(prod, q) == \
             sylvester_resultant(p1, q) * sylvester_resultant(p2, q)
         assert sylvester_resultant(q, p1) == \
@@ -147,8 +218,8 @@ def test_binary_gcd():
     g = BinaryForm.parse("X - 2*Y")
     h1 = BinaryForm.parse("X^2 + Y^2")
     h2 = BinaryForm.parse("X + Y")
-    f1 = BinaryForm(3, g.poly * h1.poly)
-    f2 = BinaryForm(2, g.poly * h2.poly)
+    f1 = times(g, h1)
+    f2 = times(g, h2)
     assert binary_gcd(f1, f2) == g
     # common factors at zero and at infinity are found
     f3 = BinaryForm.parse("X^2*Y")
@@ -174,9 +245,6 @@ def _gcd_cases(n):
     repeated factors, powers of X and Y, constants, rational scalars and zero
     forms."""
     rng = Random("gcd-oracle")
-
-    def times(f, g):
-        return BinaryForm(f.degree + g.degree, f.poly * g.poly)
 
     def cofactor():
         if rng.random() < 0.1:
@@ -282,7 +350,7 @@ def test_branch_form_special_orbits_match_oracle():
     for (a, b) in [(1, 3), (2, 3), (1, 4), (2, 4)]:
         # a repeated root shared by the partials: the branch form vanishes
         p, r = random_binary_form(rng, a), random_binary_form(rng, b - 2)
-        q = BinaryForm(b, BinaryForm.parse("(X - 2*Y)^2").poly * r.poly)
+        q = times(BinaryForm.parse("(X - 2*Y)^2"), r)
         decomposable = BiForm.parse(pair_text(p, "1") + "*" + pair_text(q, "2"))
         assert _assert_matches_oracle(decomposable).is_zero()
         # the reference orbit: nonzero but not squarefree
@@ -404,10 +472,3 @@ def test_singular_system_matches_oracle():
     for points, d in cases:
         n = len(oracle_ternary_basis(d))
         assert singular_system(points, d) == Subspace(n, QMat(oracle_singular_system(points, d), n))
-
-
-def test_curve_map_guards():
-    with pytest.raises(ValueError):
-        CurveMap(1, [BinaryForm.zero(1), BinaryForm.zero(1)])
-    with pytest.raises(ValueError):
-        CurveMap(1, [BinaryForm.parse("X"), BinaryForm.parse("X^2")])

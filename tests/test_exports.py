@@ -9,7 +9,7 @@ through its syntax tree, so a docstring or comment that mentions a name does
 not count as a use.
 
 The same syntax trees keep MPoly at the text boundary: only the modules that
-export it, parse into it or build forms from it import poly.
+export it or parse into it import or name it.
 """
 
 import ast
@@ -83,19 +83,25 @@ def test_every_exported_name_has_a_caller():
     assert not unused, f"exported but used only by the tests: {unused}"
 
 
-def _imports_poly(node):
+def _reaches_mpoly(node):
+    """An import of MPoly (by name, or of the whole poly module) or a use of the name."""
     if isinstance(node, ast.ImportFrom):
         module = ("." * node.level) + (node.module or "")
-        return module in (".poly", "biforms.poly") or (
-            module in (".", "biforms") and any(alias.name == "poly" for alias in node.names))
-    return isinstance(node, ast.Import) and any(alias.name == "biforms.poly"
-                                                for alias in node.names)
+        names = {alias.name for alias in node.names}
+        if module in (".poly", "biforms.poly"):
+            return bool(names & {"MPoly", "*"})
+        return module in (".", "biforms") and bool(names & {"poly", "MPoly"})
+    if isinstance(node, ast.Import):
+        return any(alias.name == "biforms.poly" for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id == "MPoly"
+            or isinstance(node, ast.Attribute) and node.attr == "MPoly")
 
 
 def test_only_the_text_boundary_imports_poly():
-    """MPoly stays where text becomes forms: only __init__.py (the export),
-    parsing.py and forms.py import from poly, so no computation (a
-    substitution, a product) can go back through MPoly."""
+    """MPoly stays where text becomes polynomials: only __init__.py (the
+    export) and parsing.py import or name it, so no computation (a
+    substitution, a product) can go back through MPoly.  Other modules may
+    import the ring tuples from poly."""
     importers = {path.name for path in PACKAGE.glob("*.py") if path.name != "poly.py"
-                 if any(map(_imports_poly, ast.walk(ast.parse(path.read_text()))))}
-    assert importers == {"__init__.py", "parsing.py", "forms.py"}
+                 if any(map(_reaches_mpoly, ast.walk(ast.parse(path.read_text()))))}
+    assert importers == {"__init__.py", "parsing.py"}

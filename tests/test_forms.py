@@ -7,7 +7,6 @@ import pytest
 from biforms import (
     BiForm,
     BinaryForm,
-    MPoly,
     TernaryForm,
     from_binomial_coeffs,
     parse_form,
@@ -16,44 +15,42 @@ from biforms import (
     biform_basis,
     tensor_product,
     ternary_basis,
-    RING_BI,
-    RING_XY,
-    RING_XYZ,
 )
 from biforms.forms import embed_first, embed_second, extract_first
 from biforms.sampling import random_binary_form
-from helpers import dict_diff, oracle, oracle_binomial_coeffs, oracle_ternary_basis, to_dict
+from helpers import dict_diff, oracle, oracle_binomial_coeffs, oracle_ternary_basis, to_dict, to_form
 
 
 # (class, degree, a form of that degree, a wrong degree, a negative degree,
-#  an inhomogeneous text, a poly in another ring)
+#  an inhomogeneous text, a variable of another ring)
 FORM_CASES = [
-    (BinaryForm, 3, "X^2*Y - 2*Y^3", 2, -1, "X^2 + X", MPoly.variable(RING_XYZ, "Z")),
-    (BiForm, (1, 2), "X1*Y2^2 + 5*Y1*X2^2", (2, 1), (1, -1), "X1*Y2^2 + X1^2*Y2^2",
-     MPoly.variable(RING_XY, "X")),
-    (TernaryForm, 2, "X^2 - 3/2*Y*Z", 3, -2, "X^2 + Y^3", MPoly.variable(RING_BI, "X1")),
+    (BinaryForm, 3, "X^2*Y - 2*Y^3", 2, -1, "X^2 + X", "Z"),
+    (BiForm, (1, 2), "X1*Y2^2 + 5*Y1*X2^2", (2, 1), (1, -1), "X1*Y2^2 + X1^2*Y2^2", "X"),
+    (TernaryForm, 2, "X^2 - 3/2*Y*Z", 3, -2, "X^2 + Y^3", "X1"),
 ]
 
 
 def test_homogeneity_guards():
     for cls, degree, text, wrong, negative, inhomogeneous, foreign in FORM_CASES:
         f = cls.parse(text)
-        assert cls(degree, f.poly) == f
+        assert cls.parse(text, degree) == f == to_form(cls, degree, to_dict(f))
         for bad in (
-            lambda: cls(wrong, f.poly),
-            lambda: cls(degree, foreign),
-            lambda: cls.from_poly(foreign),
+            lambda: cls.parse(foreign),
             lambda: cls.zero(negative),
             lambda: cls.from_coeff_vector(negative, []),
-            lambda: cls.parse(inhomogeneous),
-            lambda: cls(degree, parse_form(inhomogeneous, cls.ring)),
+            lambda: cls.parse(text, negative),
             lambda: cls.from_coeff_vector(degree, f.coeff_vector()[:-1]),
             lambda: cls.from_coeff_vector(degree, f.coeff_vector() + (1,)),
-            lambda: cls.parse("0"),
-            lambda: cls.from_poly(MPoly.zero(cls.ring)),
         ):
             with pytest.raises(ValueError):
                 bad()
+        for bad in (lambda: cls.parse(text, wrong), lambda: cls.parse(inhomogeneous),
+                    lambda: cls.parse(inhomogeneous, degree)):
+            with pytest.raises(ValueError, match="is not of degree"):
+                bad()
+        with pytest.raises(ValueError, match="zero polynomial needs an explicit degree"):
+            cls.parse("0")
+        assert cls.parse("0", degree) == cls.zero(degree)
 
 
 def test_negative_degrees_have_empty_bases():
@@ -110,8 +107,7 @@ def test_embed_extract():
     assert to_dict(embed_second(p)) == {(0, 0, i, j): c for (i, j), c in to_dict(p).items()}
     t = tensor_product(p, BinaryForm.parse("Y^3"))
     assert t.bidegree == (2, 3)
-    assert t.poly.coefficient((2, 0, 0, 3)) == 1
-    assert t.poly.coefficient((1, 1, 0, 3)) == -3
+    assert to_dict(t) == {(2, 0, 0, 3): 1, (1, 1, 0, 3): -3}
 
 
 def test_pq_split():
@@ -153,8 +149,9 @@ def _storage_samples(rng, cls, degree, basis):
     forms = [cls.zero(degree)]
     for vec in vectors:
         f = cls.from_coeff_vector(degree, vec)
-        poly = MPoly(cls.ring, {e: c for e, c in zip(basis, vec)})
-        forms += [f, cls(degree, poly), cls.from_poly(poly, degree), cls.parse(str(f), degree)]
+        terms = {e: Fraction(c) for e, c in zip(basis, vec) if c}
+        forms += [f, to_form(cls, degree, terms), cls.parse(oracle.to_text(terms, cls.ring), degree),
+                  cls.parse(str(f), degree)]
     return forms
 
 
@@ -173,10 +170,11 @@ def test_storage_invariants():
                 assert _is_canonical(f, len(basis))
                 assert f.is_zero() == (f._den == 1 and not any(f._num))
                 assert cls.from_coeff_vector(degree, f.coeff_vector()) == f
-                assert cls.from_poly(f.poly, degree) == f
-                assert str(f) == to_string(f.poly)
+                assert cls.parse(str(f), degree) == f
+                terms = to_dict(f)
+                assert str(f) == to_string(parse_form(oracle.to_text(terms, cls.ring), cls.ring))
                 for g in rng.sample(forms + derived, 12):
-                    assert (f == g) == (f.poly == g.poly)
+                    assert (f == g) == (terms == to_dict(g))
                     if f == g:
                         assert hash(f) == hash(g)
 
@@ -194,7 +192,7 @@ def test_storage_of_other_constructors():
             made += [q.dx(), q.dy(), q.dx(d), q.dy(d + 1)]
         for f in made:
             assert _is_canonical(f, len(f.coeff_vector()))
-            assert type(f).from_poly(f.poly, f._degree) == f
+            assert type(f).parse(str(f), f._degree) == f
         first = {(i, j, 0, 0): c for (i, j), c in to_dict(q).items()}
         second = {(0, 0, k, l): c for (k, l), c in to_dict(p).items()}
         assert to_dict(tensor_product(q, p)) == oracle.pmul(first, second)

@@ -25,6 +25,7 @@ from helpers import (
     oracle,
     oracle_apolar_diffop,
     oracle_transvectant_matrix,
+    times,
     to_dict,
     to_form,
 )
@@ -33,7 +34,7 @@ from helpers import (
 def test_transvectant_examples():
     p = BinaryForm.parse("X^2 + X*Y")
     q = BinaryForm.parse("Y^2 - X^2")
-    assert transvectant(p, q, 0) == BinaryForm(4, p.poly * q.poly)
+    assert transvectant(p, q, 0) == times(p, q)
     assert transvectant(BinaryForm.parse("X"), BinaryForm.parse("Y"), 1) == \
         BinaryForm.parse("1", degree=0)
     t = transvectant(BinaryForm.parse("X^2*Y^6"), BinaryForm.parse("X^4"), 2)
@@ -118,7 +119,7 @@ def test_bitransvectant_examples():
     assert bitransvectant(h, hp, 1, 2).is_zero()
     f = BiForm.parse("X1*X2 + Y1*Y2")
     g = BiForm.parse("X1*Y2 - Y1*X2")
-    assert bitransvectant(f, g, 0, 0) == BiForm((2, 2), f.poly * g.poly)
+    assert bitransvectant(f, g, 0, 0) == times(f, g)
     t = bitransvectant(BiForm.parse("X1*X2"), BiForm.parse("Y1*Y2"), 1, 1)
     assert t == BiForm.parse("1", (0, 0))
     with pytest.raises(ValueError):
@@ -194,10 +195,8 @@ def test_transvectant_matrix_columns_match_direct_evaluation():
     rng = Random("matrix-columns")
     f = random_biform(rng, 1, 4)
     m = transvectant_matrix(f, 1, 1, (1, 2))
-    from biforms.forms import biform_basis
-    from biforms.poly import MPoly, RING_BI
     for j, exps in enumerate(biform_basis(1, 2)):
-        e = BiForm((1, 2), MPoly(RING_BI, {exps: Fraction(1)}))
+        e = to_form(BiForm, (1, 2), {exps: Fraction(1)})
         assert tuple(row[j] for row in m.entries) == bitransvectant(f, e, 1, 1).coeff_vector()
 
 
