@@ -35,7 +35,19 @@ class UsageError(Exception):
     pass
 
 
+def _write(path, mode, text=""):
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _cmd_verify(args):
+    if args.out:
+        # appending nothing refuses an unwritable path before any check runs,
+        # and leaves an existing file as it is
+        _write(args.out, "a")
     if args.check is not None:
         if args.check not in REGISTRY:
             raise UsageError(f"unknown check id {args.check!r}")
@@ -45,11 +57,7 @@ def _cmd_verify(args):
     fmt = "markdown" if args.format == "md" else args.format
     text = emit(report, fmt)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
+        _write(args.out, "w", text + "\n")
     else:
         print(text)
     return 0 if all(c.status == "pass" for c in report.checks) else 1

@@ -11,22 +11,25 @@ Resultants are taken on full bihomogeneous Sylvester matrices, so roots at
 infinity need no special-casing.  Polynomial-coefficient resultants (branch
 forms) are computed by exact interpolation: the Sylvester determinant is
 homogeneous of known degree, so it is pinned down by integer evaluations.
-The branch route builds no polynomials and no Fractions: the second-pair
-partials of F's integer numerators (F's denominator is s) are integer arrays
-evaluated by Horner at t = 0..2a(b-1), and each Sylvester determinant is an
-integer Bareiss pass.  These samples are the values of an integer
-polynomial in t, so its Newton divided differences are exact integer
-divisions; the Newton form is expanded on integers and stored over the one
-denominator s^(2(b-1)).  Every other curve function reads F's integer
+The branch route builds no polynomials and no Fractions: F's integer
+columns (F's denominator is s) are evaluated by Horner at t = 0..2a(b-1),
+the second-pair partials taken on the values, and each Sylvester
+determinant is an integer Bareiss pass.  These samples are the values of
+an integer polynomial in t, so its Newton divided differences are exact
+integer divisions; the Newton form is expanded on integers and stored over
+the one denominator s^(2(b-1)).  Every other curve function reads F's integer
 vector as the matrix of the map, a+1 rows of b+1 (_rows): the span and the
 image subspace are its rank and row space, and the components its columns,
 c_0 last.
 
 A binary form is squarefree when the Sylvester resultant of its two
-partials is nonzero.  The gcd of two binary forms, which gives the base
-locus for the hyperplane degree, is read off a Bareiss forward pass on the
-same Sylvester rows: they span the gcd's multiples of degree d + e - 1, so
-the last echelon row is the gcd times a power of Y, up to scale.
+partials is nonzero.  The gcd of two binary forms is read off a Bareiss
+forward pass on the same Sylvester rows: they span the gcd's multiples of
+degree d + e - 1, so the last echelon row is the gcd times a power of Y, up
+to scale.  The hyperplane degree needs only the degree k of the gcd G of
+the components: for a >= 1 the multiples X1^(a-1-s) Y1^s c_j, s < a, span
+G * V_(2a-1-k), since two generic combinations of the c_j / G are coprime,
+so their rank is 2a - k.
 
 singular_system computes linear systems of plane curves singular at
 prescribed exact points, as the kernel of the integer rows of values and
@@ -104,19 +107,6 @@ def _monic(f: BinaryForm) -> BinaryForm:
     return f._make(f.degree, [sign * c for c in f._num], abs(lead))
 
 
-def gcd_all(forms) -> BinaryForm:
-    """gcd of a list of binary forms (zero entries ignored)."""
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        raise ValueError("all forms are zero")
-    g = _monic(nonzero[0])
-    for f in nonzero[1:]:
-        if g.degree == 0:
-            break
-        g = binary_gcd(g, f)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # resultants and branch forms
 # ---------------------------------------------------------------------------
@@ -154,7 +144,14 @@ def is_squarefree(f: BinaryForm) -> bool:
     partial gives zero Sylvester rows, so X^d and Y^d are not squarefree."""
     if f.degree <= 1:
         return not f.is_zero()
-    return sylvester_resultant(f.dx(), f.dy()) != 0
+    return _int_det(_sylvester_rows(*_partials(f._num))) != 0
+
+
+def _partials(c):
+    """The X- and Y-partials of a binary form of degree d >= 1 given by its
+    integer coefficients, highest power of X first, as two such lists."""
+    d = len(c) - 1
+    return [(d - k) * c[k] for k in range(d)], [(k + 1) * c[k + 1] for k in range(d)]
 
 
 def _interpolate(points):
@@ -200,23 +197,18 @@ def branch_form(f: BiForm) -> BinaryForm:
     target = 2 * a * (b - 1)
     n = b - 1
     vec, s = f._num, f._den
-    # col[k]: the (X1,Y1)-form at X2^(b-k) Y2^k, X1-power descending; u[k] and
-    # v[k] are the forms at X2^(n-k) Y2^k in s*dF/dX2 and s*dF/dY2
+    # col[k]: the (X1,Y1)-form at X2^(b-k) Y2^k, X1-power descending;
+    # dF/dX2 reads every column but the last, dF/dY2 every one but the first
     col = [vec[k::b + 1] for k in range(b + 1)]
-    u = [[(b - k) * c for c in col[k]] for k in range(b)]
-    v = [[(k + 1) * c for c in col[k + 1]] for k in range(b)]
-    if not any(map(any, u)) or not any(map(any, v)):
+    if not any(map(any, col[:b])) or not any(map(any, col[1:])):
         return BinaryForm.zero(target)
     if n == 0:
         return BinaryForm._make(0, (1,), 1)
     # Sylvester determinant has entries homogeneous of degree a, size 2n,
     # so it is homogeneous of degree 2an = target (or identically zero);
     # interpolate its dehomogenization from target+1 integer evaluations.
-    samples = []
-    for t in range(target + 1):
-        uc = [_horner(w, t) for w in u]
-        vc = [_horner(w, t) for w in v]
-        samples.append((t, _int_det(_sylvester_rows(uc, vc))))
+    samples = [(t, _int_det(_sylvester_rows(*_partials([_horner(w, t) for w in col]))))
+               for t in range(target + 1)]
     # ascending powers of X1 are the basis order reversed
     return BinaryForm._make(target, _interpolate(samples)[::-1], s ** (2 * n))
 
@@ -234,15 +226,23 @@ def hyperplane_degree(f: BiForm, seed) -> int | None:
 
     Equals the source degree a for generic input.  Returns None in the
     measure-zero event that the drawn functional annihilates the map (callers
-    treat that sample as degenerate).
+    treat that sample as degenerate).  The multiples of the components go
+    to the rank one block per component, so a generic form stops after two.
     """
     a, b = f.bidegree
+    rows = _rows(f)
     rng = Random(f"hyperplane:{seed}")
     lam = [rng.randint(-9, 9) for _ in range(b + 1)]
     # lambda_j meets c_j, which is column b - j of each row
-    if not any(sum(L * x for L, x in zip(lam, row[::-1])) for row in _rows(f)):
+    if not any(sum(L * x for L, x in zip(lam, row[::-1])) for row in rows):
         return None
-    return a - gcd_all(phi_components(f)).degree
+    return _rank(_multiples([row[k] for row in rows], a) for k in range(b + 1)) - a
+
+
+def _multiples(c, a):
+    """The 2a rows of the block whose column s is X^(a-1-s) Y^s c, for c of
+    degree a given by its coefficients, highest power of X first."""
+    return [[c[r - s] if 0 <= r - s <= a else 0 for s in range(a)] for r in range(2 * a)]
 
 
 # ---------------------------------------------------------------------------

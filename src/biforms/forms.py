@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm, prod
+from math import comb, lcm, prod
 
 from .linalg import _integer_row, _reduce
 from .parsing import format_terms, parse_form
@@ -191,7 +191,7 @@ class _Form:
         return format_terms(self.ring, self._terms())
 
     def __repr__(self):
-        return f"{type(self).__name__}({self._degree}, {self})"
+        return f"{type(self).__name__}.parse({str(self)!r}, {self._degree!r})"
 
 
 # Each class binds coeff_vector and from_coeff_vector in its own body, because
@@ -207,24 +207,6 @@ class BinaryForm(_Form):
     degree = _Form._degree
     coeff_vector = _Form.coeff_vector
     from_coeff_vector = classmethod(_Form._from_coeff_vector)
-
-    def _diff(self, order, powers, start):
-        """Scale index k by perm(powers[k], order) and keep the degree d - order
-        slice from `start` (the zero form of degree 0 when order > d; the
-        form itself when order = 0)."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        e = self.degree - order
-        if e < 0:
-            return BinaryForm.zero(0)
-        scaled = [perm(p, order) * c for p, c in zip(powers, self._num)]
-        return BinaryForm._make(e, scaled[start:start + e + 1], self._den)
-
-    def dx(self, order=1):
-        return self._diff(order, range(self.degree, -1, -1), 0)
-
-    def dy(self, order=1):
-        return self._diff(order, range(self.degree + 1), order)
 
 
 class BiForm(_Form):

@@ -31,10 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 1800
 
-MODULES = ("linalg", "actions", "curves", "checks", "transvectant")
-LINALG, ACTIONS, CURVES, CHECKS, TRANSVECTANT = (f"src/biforms/{m}.py" for m in MODULES)
-T_LINALG, T_ACTIONS, T_CURVES, T_CHECKS, T_TRANSVECTANT = (f"tests/test_{m}.py"
-                                                           for m in MODULES)
+MODULES = ("linalg", "actions", "curves", "checks", "transvectant", "forms")
+LINALG, ACTIONS, CURVES, CHECKS, TRANSVECTANT, FORMS = (f"src/biforms/{m}.py" for m in MODULES)
+T_LINALG, T_ACTIONS, T_CURVES, T_CHECKS, T_TRANSVECTANT, T_FORMS = (f"tests/test_{m}.py"
+                                                                    for m in MODULES)
 
 # (name, file, old text, new text, tests expected to fail)
 MUTANTS = [
@@ -115,6 +115,18 @@ MUTANTS = [
     ("branch-scale-s-to-the-n", CURVES,
      "s ** (2 * n)", "s ** n",
      [f"{T_CURVES}::test_branch_form_matches_oracle"]),
+    ("hyperplane-block-shift-dropped", CURVES,
+     "else 0 for s in range(a)]", "else 0 for s in range(a - 1)]",
+     [f"{T_CURVES}::test_hyperplane_degree_examples",
+      f"{T_CURVES}::test_hyperplane_degree_is_degenerate_exactly_when_the_functional_kills_the_map"]),
+    ("partials-y-weight-k", CURVES,
+     "[(k + 1) * c[k + 1] for k in range(d)]", "[k * c[k + 1] for k in range(d)]",
+     [f"{T_CURVES}::test_is_squarefree_matches_the_gcd_route",
+      f"{T_CURVES}::test_branch_form_matches_oracle"]),
+    ("reduce-skipped", LINALG,
+     "    if g == 1:\n        return tuple([tuple(row) for row in rows]), den\n",
+     "    if True:\n        return tuple([tuple(row) for row in rows]), den\n",
+     [f"{T_FORMS}::test_storage_invariants"]),
 ]
 
 

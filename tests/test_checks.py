@@ -360,18 +360,13 @@ def test_c04_fails_with_scaled_apolar(monkeypatch, scale):
 
 
 def test_c08_fails_with_a_spurious_gcd_factor(monkeypatch):
-    # a constant base-locus gcd reported as X: the hyperplane degree drops to a - 1
+    # the last shift of each component dropped: X divides every multiple left,
+    # as if it divided the base-locus gcd, so the hyperplane degree drops to a - 1
     import biforms.checks as checks_mod
     import biforms.curves as curves_mod
-    from biforms import BinaryForm
 
-    real = curves_mod.gcd_all
-
-    def with_x(forms):
-        g = real(forms)
-        return BinaryForm.parse("X") if g.degree == 0 else g
-
-    monkeypatch.setattr(curves_mod, "gcd_all", with_x)
+    real = curves_mod._multiples
+    monkeypatch.setattr(curves_mod, "_multiples", lambda c, a: [row[:-1] for row in real(c, a)])
     monkeypatch.setattr(checks_mod, "DEGREE_GRID", [(2, 3)])
     status, wit = checks_mod._check_c08(Random(0), seed=0)
     assert status == "fail"

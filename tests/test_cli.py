@@ -95,7 +95,13 @@ def test_usage_error_exits_2():
     assert main(["kernel", "--form", "0", "--r", "0", "--s", "0", "--source", "1,1"]) == 2
 
 
-def test_verify_to_an_unwritable_path_exits_2(capsys, tmp_path):
+def test_verify_to_an_unwritable_path_exits_2(monkeypatch, capsys, tmp_path):
+    # refused before any check runs
+    def no_run(*args):
+        raise AssertionError("a check ran before --out was refused")
+
+    monkeypatch.setattr(cli, "run_all", no_run)
+    monkeypatch.setattr(cli, "run_check", no_run)
     for out in (tmp_path / "missing" / "report.json", tmp_path):
         assert main(["verify", "--check", "C05", "--out", str(out)]) == 2
         captured = capsys.readouterr()

@@ -24,7 +24,8 @@ from biforms import (
     tensor_product,
 )
 from biforms.checks import DEGREE_GRID
-from biforms.curves import _interpolate, gcd_all
+import biforms.curves as curves_mod
+from biforms.curves import _interpolate
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair
 from helpers import (
     dict_diff,
@@ -129,12 +130,13 @@ def test_hyperplane_degree_examples():
 
 def test_hyperplane_degree_never_exceeds_source_degree():
     rng = Random("hyperplane-bound")
-    x1 = BinaryForm.parse("X")
+    x1 = {(1, 0): Fraction(1)}
     for _ in range(30):
         a, b = rng.randint(1, 3), rng.randint(1, 5)
         f = random_biform(rng, a, b)
         if rng.random() < 0.3:   # mix in special forms with base points
-            f = _from_components(a, b, [to_dict(times(x1, c.dx())) for c in phi_components(f)])
+            f = _from_components(a, b, [oracle.pmul(x1, dict_diff(to_dict(c), 0))
+                                        for c in phi_components(f)])
             if f.is_zero():
                 continue
         hd = hyperplane_degree(f, seed=rng.randint(0, 99))
@@ -163,20 +165,75 @@ def test_hyperplane_degree_is_degenerate_exactly_when_the_functional_kills_the_m
              for a in range(4) for b in range(5) for seed in range(3)]
     cases += [(_annihilated(rng, a, b, seed), seed)
               for a in range(4) for b in range(1, 5) for seed in range(3)]
+    cases += [(f, n) for n, f in enumerate(_base_locus_cases(rng)) if not f.is_zero()]
     verdicts = set()
+    gcd_degrees = {a: set() for a in range(5)}
     for f, seed in cases:
         (a, b), terms = f.bidegree, to_dict(f)
         hd = hyperplane_degree(f, seed)
         degenerate = not oracle_hyperplane_combo(terms, b, seed)
         assert (hd is None) == degenerate
         if not degenerate:
-            nonzero = [(a, c) for c in oracle_components(terms, b) if c]
-            g = nonzero[0]
-            for h in nonzero[1:]:
-                g = oracle_binary_gcd(g, h)
-            assert hd == a - g[0]
+            k = _oracle_gcd_degree(f)
+            assert hd == a - k
+            gcd_degrees[a].add(k)
         verdicts.add(degenerate)
     assert verdicts == {False, True}
+    assert all(gcd_degrees[a] == set(range(a + 1)) for a in gcd_degrees)
+
+
+def _oracle_gcd_degree(f):
+    """Degree of the gcd of a nonzero biform's components, by a chain of
+    oracle_binary_gcd over oracle_components."""
+    (a, b), terms = f.bidegree, to_dict(f)
+    nonzero = [(a, c) for c in oracle_components(terms, b) if c]
+    g = nonzero[0]
+    for h in nonzero[1:]:
+        g = oracle_binary_gcd(g, h)
+    return g[0]
+
+
+def _base_locus_cases(rng):
+    """Biforms with a = 0..4 and every gcd degree: random ones, G * h_j with
+    deg G = 1..a (G random or a monomial, so roots at 0 and at infinity),
+    decomposables, one nonzero component and sparse forms (possibly zero),
+    some over a denominator."""
+    for a in range(5):
+        for b in range(5):
+            yield random_biform(rng, a, b)
+            for k in range(1, a + 1):
+                for g in (to_dict(random_binary_form(rng, k)), {(k - k // 2, k // 2): Fraction(1)}):
+                    yield _from_components(a, b, [oracle.pmul(g, to_dict(random_binary_form(rng, a - k)))
+                                                  for _ in range(b + 1)])
+            yield Fraction(3, 4) * tensor_product(random_binary_form(rng, a), random_binary_form(rng, b))
+            one = [{} for _ in range(b + 1)]
+            one[rng.randint(0, b)] = to_dict(random_binary_form(rng, a))
+            yield _from_components(a, b, one)
+            for _ in range(3):
+                yield to_form(BiForm, (a, b), {e: Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                                               for e in oracle.biform_basis(a, b) if rng.random() < 0.3})
+
+
+def test_hyperplane_degree_is_one_rank_and_no_gcd(monkeypatch):
+    ranks, blocks = [], []
+    real_rank, real_multiples = curves_mod._rank, curves_mod._multiples
+
+    def refuse(*args):
+        raise AssertionError("not on the hyperplane degree's path")
+
+    monkeypatch.setattr(curves_mod, "_rank", lambda b: ranks.append(1) or real_rank(b))
+    monkeypatch.setattr(curves_mod, "_multiples", lambda c, a: blocks.append(1) or real_multiples(c, a))
+    monkeypatch.setattr(curves_mod, "binary_gcd", refuse)
+    monkeypatch.setattr(curves_mod, "phi_components", refuse)
+    rng = Random("hyperplane-rank")
+    generic = random_biform(rng, 3, 6)
+    decomposable = tensor_product(random_binary_form(rng, 3), random_binary_form(rng, 6))
+    for f, degree, pulled in ((generic, 3, 2), (decomposable, 0, 7)):
+        ranks.clear()
+        blocks.clear()
+        assert hyperplane_degree(f, seed=0) == degree
+        # a generic form reaches full row rank 2a after two blocks
+        assert (len(ranks), len(blocks)) == (1, pulled)
 
 
 def test_sylvester_resultant_examples():
@@ -225,7 +282,6 @@ def test_binary_gcd():
     f3 = BinaryForm.parse("X^2*Y")
     f4 = BinaryForm.parse("X*Y^2")
     assert binary_gcd(f3, f4) == BinaryForm.parse("X*Y")
-    assert gcd_all([BinaryForm.zero(2), f3, f4]) == BinaryForm.parse("X*Y")
     coprime = binary_gcd(BinaryForm.parse("X^2 + Y^2"), BinaryForm.parse("X^2 - Y^2"))
     assert coprime.degree == 0
 
@@ -282,14 +338,21 @@ def test_binary_gcd_matches_oracle():
 
 def test_is_squarefree_matches_the_gcd_route():
     # the oracle's route: a form of degree >= 2 is squarefree when its partials are coprime
-    for pair in _gcd_cases(300):
-        for h in pair:
-            if h.degree <= 1:
-                expected = not h.is_zero()
-            else:
-                fx, fy = (dict_diff(to_dict(h), slot) for slot in (0, 1))
-                expected = oracle_binary_gcd((h.degree - 1, fx), (h.degree - 1, fy))[0] == 0
-            assert is_squarefree(h) == expected
+    rng = Random("squarefree-double-roots")
+    forms = [h for pair in _gcd_cases(300) for h in pair]
+    for d in range(2, 7):
+        # double roots at 0 (X^2), at infinity (Y^2) and at the finite point (3 : 2)
+        doubled = [times(BinaryForm.parse(square), random_binary_form(rng, d - 2))
+                   for square in ("X^2", "Y^2", "(2*X - 3*Y)^2")]
+        assert not any(map(is_squarefree, doubled))
+        forms += doubled + [random_binary_form(rng, d)]
+    for h in forms:
+        if h.degree <= 1:
+            expected = not h.is_zero()
+        else:
+            fx, fy = (dict_diff(to_dict(h), slot) for slot in (0, 1))
+            expected = oracle_binary_gcd((h.degree - 1, fx), (h.degree - 1, fy))[0] == 0
+        assert is_squarefree(h) == expected
 
 
 def test_binary_gcd_and_is_squarefree_against_sympy():

@@ -18,7 +18,7 @@ from biforms import (
 )
 from biforms.forms import embed_first, embed_second, extract_first
 from biforms.sampling import random_binary_form
-from helpers import dict_diff, oracle, oracle_binomial_coeffs, oracle_ternary_basis, to_dict, to_form
+from helpers import oracle, oracle_binomial_coeffs, oracle_ternary_basis, to_dict, to_form
 
 
 # (class, degree, a form of that degree, a wrong degree, a negative degree,
@@ -188,35 +188,23 @@ def test_storage_of_other_constructors():
         made = [from_binomial_coeffs(d, alphas), BiForm.from_pq(p, q), tensor_product(q, p),
                 embed_first(q), embed_second(q), *BiForm.from_pq(q, p).pq(),
                 extract_first(embed_first(q))]
-        if d:
-            made += [q.dx(), q.dy(), q.dx(d), q.dy(d + 1)]
         for f in made:
             assert _is_canonical(f, len(f.coeff_vector()))
             assert type(f).parse(str(f), f._degree) == f
         first = {(i, j, 0, 0): c for (i, j), c in to_dict(q).items()}
         second = {(0, 0, k, l): c for (k, l), c in to_dict(p).items()}
         assert to_dict(tensor_product(q, p)) == oracle.pmul(first, second)
-        if d:
-            assert to_dict(q.dx()) == dict_diff(to_dict(q), 0)
-            assert to_dict(q.dy(2)) == _diff(to_dict(q), 1, 2)
 
 
-def _diff(terms, slot, order):
-    """The order-th partial derivative of a dict in one variable slot, by dict_diff."""
-    for _ in range(order):
-        terms = dict_diff(terms, slot)
-    return terms
-
-
-def test_derivative_orders():
-    # order 0 is the form itself; a negative order is an error
-    rng = Random("derivative-orders")
-    for d in range(5):
-        q = BinaryForm.from_coeff_vector(d, [Fraction(rng.randint(-9, 9), 4) for _ in range(d + 1)])
-        assert q.dx(0) == q and q.dy(0) == q
-        for k in range(d + 2):
-            assert to_dict(q.dx(k)) == _diff(to_dict(q), 0, k)
-            assert to_dict(q.dy(k)) == _diff(to_dict(q), 1, k)
-        for method in (q.dx, q.dy):
-            with pytest.raises(ValueError):
-                method(-1)
+def test_repr_rebuilds_the_form():
+    # zero, integer, rational and negative coefficients, for every form type
+    names = {"__builtins__": {}, "BinaryForm": BinaryForm, "BiForm": BiForm,
+             "TernaryForm": TernaryForm}
+    assert repr(BinaryForm.parse("X^3")) == "BinaryForm.parse('X^3', 3)"
+    assert repr(BiForm.zero((1, 2))) == "BiForm.parse('0', (1, 2))"
+    rng = Random("repr")
+    for cls, degrees, basis_of in STORAGE_CASES:
+        for degree in degrees:
+            for f in _storage_samples(rng, cls, degree, basis_of(degree)):
+                for g in (f, -f, Fraction(-7, 3) * f):
+                    assert eval(repr(g), names) == g
