@@ -246,27 +246,6 @@ class TernaryForm(_Form):
     from_coeff_vector = classmethod(_Form._from_coeff_vector)
 
 
-# X1^(a-i) Y1^i sits at index i of bidegree (a, 0), and X2^(b-k) Y2^k at
-# index k of bidegree (0, b): embedding and extraction keep the vector.
-
-def embed_first(p: BinaryForm) -> BiForm:
-    """View a binary form as a biform of bidegree (d, 0) in (X1, Y1)."""
-    return BiForm._make((p.degree, 0), p._num, p._den)
-
-
-def embed_second(p: BinaryForm) -> BiForm:
-    """View a binary form as a biform of bidegree (0, d) in (X2, Y2)."""
-    return BiForm._make((0, p.degree), p._num, p._den)
-
-
-def extract_first(f: BiForm) -> BinaryForm:
-    """Inverse of embed_first on bidegree-(a, 0) biforms."""
-    a, b = f.bidegree
-    if b != 0:
-        raise ValueError("form has X2/Y2 content")
-    return BinaryForm._make(a, f._num, f._den)
-
-
 def tensor_product(p: BinaryForm, q: BinaryForm) -> BiForm:
     """The decomposable biform p(X1,Y1) * q(X2,Y2) of bidegree (deg p, deg q)."""
     return BiForm._make((p.degree, q.degree), [x * y for x in p._num for y in q._num],

@@ -12,11 +12,12 @@ it.  T_0 is the plain product and T_r(Q, P) = (-1)^r T_r(P, Q).
 
 For biforms the (r,s)-th bi-transvectant is the double Cayley sum over both
 variable pairs; on decomposable forms P1(X1,Y1)*P2(X2,Y2) it factors exactly
-as T_r on the first pair times T_s on the second.  transvectant (as T_(r,0)
-on the first pair), bitransvectant and transvectant_matrix share one integer
-kernel on exponent indices: f's (r,s) derivative table is built once, and
-each term of the second operand adds a shifted, scaled copy of it (one unit
-monomial per column for the matrix).
+as T_r on the first pair times T_s on the second.  transvectant,
+bitransvectant and transvectant_matrix share one integer kernel on the first
+operand's numerators and bidegree: f's (r,s) derivative table is built once,
+and each term of the second operand adds a shifted, scaled copy of it (one
+unit monomial per column for the matrix).  A degree-d binary form enters it
+as the numerators of bidegree (d, 0), where index i is X1^(d-i) Y1^i.
 
 apolar_diffop realizes the extreme transvectant r = d' <= d by substituting
 (-d/dY, d/dX) for (X, Y) in P', applying the resulting operator to P and
@@ -31,16 +32,16 @@ from __future__ import annotations
 
 from math import comb, factorial, perm
 
-from .forms import BiForm, BinaryForm, embed_first, embed_second, extract_first
+from .forms import BiForm, BinaryForm
 from .linalg import QMat
 
 
 def transvectant(p: BinaryForm, q: BinaryForm, r: int) -> BinaryForm:
-    """r-th transvectant of binary forms; degree d + d' - 2r.
-
-    It is T_(r,0) of the two forms placed on the first variable pair.
-    """
-    return extract_first(bitransvectant(embed_first(p), embed_first(q), r, 0))
+    """r-th transvectant of binary forms; degree d + d' - 2r: T_(r,0) on
+    their numerators read as bidegree (d, 0) and (d', 0)."""
+    terms = [(i, c) for i, c in enumerate(q._num) if c]
+    (degree, _), (vec,) = _cayley(p._num, (p.degree, 0), r, 0, (q.degree, 0), [terms])
+    return BinaryForm._make(degree, vec, p._den * q._den)
 
 
 def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
@@ -63,12 +64,13 @@ def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     return BinaryForm._make(d - e, out, p._den * q._den)
 
 
-def _cayley(f: BiForm, r, s, source_bidegree, operands):
-    """T_(r,s)(f, g) for each operand g: (target bidegree, vectors).
+def _cayley(num, bidegree, r, s, source_bidegree, operands):
+    """T_(r,s)(f, g) for each operand g: (target bidegree, integer vectors).
 
-    An operand is a list of (index, integer coefficient) terms in the source
-    basis; vectors[k] / f._den is the coefficient vector of
-    T_(r,s)(f, operands[k]) in the canonical target basis.
+    f is the form with integer numerators num in the basis of bidegree; an
+    operand is a list of (index, integer coefficient) terms in the source
+    basis.  vectors[k] is the numerator vector of T_(r,s)(f, operands[k]) in
+    the canonical target basis, over the product of the two denominators.
 
     table[i][j] holds (-1)^(i+j) C(r,i) C(s,j) d^(r+s) f / dX1^(r-i) dY1^i
     dX2^(s-j) dY2^j.  An operand term c*X1^p Y1^q X2^u Y2^v meets it through
@@ -77,7 +79,7 @@ def _cayley(f: BiForm, r, s, source_bidegree, operands):
     Y2^e3 is index e1*(B+1) + e3 of bidegree (A, B), so the table stores that
     index and a shift is one addition.
     """
-    (a, b), (a2, b2) = f.bidegree, source_bidegree
+    (a, b), (a2, b2) = bidegree, source_bidegree
     if r < 0 or r > min(a, a2):
         raise ValueError(f"first-pair order {r} out of range for ({a}, {a2})")
     if s < 0 or s > min(b, b2):
@@ -85,7 +87,7 @@ def _cayley(f: BiForm, r, s, source_bidegree, operands):
     target = (a + a2 - 2 * r, b + b2 - 2 * s)
     width = target[1] + 1
     table = [[[] for _ in range(s + 1)] for _ in range(r + 1)]
-    for index, c in enumerate(f._num):
+    for index, c in enumerate(num):
         if not c:
             continue
         y1, y2 = divmod(index, b + 1)
@@ -123,7 +125,7 @@ def _cayley(f: BiForm, r, s, source_bidegree, operands):
 def bitransvectant(f: BiForm, g: BiForm, r: int, s: int) -> BiForm:
     """(r,s)-th bi-transvectant: the double Cayley sum over both pairs."""
     terms = [(i, c) for i, c in enumerate(g._num) if c]
-    target, (vec,) = _cayley(f, r, s, g.bidegree, [terms])
+    target, (vec,) = _cayley(f._num, f.bidegree, r, s, g.bidegree, [terms])
     return BiForm._make(target, vec, f._den * g._den)
 
 
@@ -142,7 +144,7 @@ def specialized_1s(f: BiForm, g: BiForm, s: int) -> BiForm:
     p, q = f.pq()
     p2, q2 = g.pq()
     result = transvectant(p, q2, s) - transvectant(q, p2, s)
-    return embed_second(result)
+    return BiForm._make((0, result.degree), result._num, result._den)
 
 
 def transvectant_matrix(f: BiForm, r: int, s: int, source_bidegree) -> QMat:
@@ -155,7 +157,7 @@ def transvectant_matrix(f: BiForm, r: int, s: int, source_bidegree) -> QMat:
     """
     a2, b2 = source_bidegree
     units = [[(i, 1)] for i in range((a2 + 1) * (b2 + 1))]
-    _, columns = _cayley(f, r, s, source_bidegree, units)
+    _, columns = _cayley(f._num, f.bidegree, r, s, source_bidegree, units)
     return QMat._make(list(zip(*columns)), f._den)
 
 

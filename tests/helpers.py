@@ -22,8 +22,9 @@ The package is touched only at the boundary (`to_dict`, `to_form`, `like`,
 `times`, `rows`): a form enters through `coeff_vector` and leaves through
 `from_coeff_vector`, both read against the oracle's own bases, so a
 basis-order slip in the package cannot cancel out, and a matrix enters
-through `QMat.entries`.  tests/test_helpers.py keeps the imports from
-biforms to the boundary types.
+through `QMat.entries`; only `is_rref_basis` reads a QMat's stored integer
+rows and denominator, because its canonical form is what it checks.
+tests/test_helpers.py keeps the imports from biforms to the boundary types.
 
 The seeded random 2x2 matrices and Lie pairs at the end are the tests' own
 samplers; the package samples only forms, subspaces and SL2 pairs.
@@ -31,7 +32,7 @@ samplers; the package samples only forms, subspaces and SL2 pairs.
 
 import importlib.util
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from pathlib import Path
 from random import Random
 
@@ -392,6 +393,19 @@ def oracle_commutator(a, b):
     """ab - ba of two square matrices given as rows, on Fractions."""
     ab, ba = oracle_matmul(a, b), oracle_matmul(b, a)
     return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+
+
+def is_rref_basis(m):
+    """Whether a QMat's stored integer rows over their denominator form a
+    canonical reduced row-echelon basis: no zero row, pivots strictly
+    increasing, each pivot 1 (its numerator is den) and the only nonzero in
+    its column, and gcd(den, *entries) == 1.  That basis of a span is unique."""
+    num, den = m._num, m._den
+    pivots = [next((j for j, x in enumerate(row) if x), None) for row in num]
+    return (den > 0 and None not in pivots and all(p < q for p, q in zip(pivots, pivots[1:]))
+            and all(row[p] == den for row, p in zip(num, pivots))
+            and all(sum(1 for row in num if row[p]) == 1 for p in pivots)
+            and gcd(den, *(x for row in num for x in row)) == 1)
 
 
 def oracle_residual(basis, v):

@@ -35,6 +35,7 @@ MODULES = ("linalg", "actions", "curves", "checks", "transvectant", "forms")
 LINALG, ACTIONS, CURVES, CHECKS, TRANSVECTANT, FORMS = (f"src/biforms/{m}.py" for m in MODULES)
 T_LINALG, T_ACTIONS, T_CURVES, T_CHECKS, T_TRANSVECTANT, T_FORMS = (f"tests/test_{m}.py"
                                                                     for m in MODULES)
+PARSING, T_PARSE = "src/biforms/parsing.py", "tests/test_parse.py"
 
 # (name, file, old text, new text, tests expected to fail)
 MUTANTS = [
@@ -127,6 +128,15 @@ MUTANTS = [
      "    if g == 1:\n        return tuple([tuple(row) for row in rows]), den\n",
      "    if True:\n        return tuple([tuple(row) for row in rows]), den\n",
      [f"{T_FORMS}::test_storage_invariants"]),
+    ("transvectant-without-q-denominator", TRANSVECTANT,
+     "BinaryForm._make(degree, vec, p._den * q._den)", "BinaryForm._make(degree, vec, p._den)",
+     [f"{T_TRANSVECTANT}::test_transvectant_against_monomial_oracle"]),
+    ("quota-without-exceptions-bound", CHECKS,
+     "ok_everywhere and ok >= 95", "ok_everywhere and ok >= 0",
+     [f"{T_CHECKS}::test_c07_fails_below_quota"]),
+    ("product-budget-without-bit-weight", PARSING,
+     "* (1 + (mid - start) // WEIGHT_BITS) * (1 + (self.bits - mid) // WEIGHT_BITS))", ")",
+     [f"{T_PARSE}::test_work_budget_spans_the_whole_parse"]),
 ]
 
 

@@ -16,7 +16,6 @@ from biforms import (
     tensor_product,
     ternary_basis,
 )
-from biforms.forms import embed_first, embed_second, extract_first
 from biforms.sampling import random_binary_form
 from helpers import oracle, oracle_binomial_coeffs, oracle_ternary_basis, to_dict, to_form
 
@@ -103,8 +102,6 @@ def test_bases_match_explicit_loops():
 
 def test_embed_extract():
     p = BinaryForm.parse("X^2 - 3*X*Y")
-    assert extract_first(embed_first(p)) == p
-    assert to_dict(embed_second(p)) == {(0, 0, i, j): c for (i, j), c in to_dict(p).items()}
     t = tensor_product(p, BinaryForm.parse("Y^3"))
     assert t.bidegree == (2, 3)
     assert to_dict(t) == {(2, 0, 0, 3): 1, (1, 1, 0, 3): -3}
@@ -186,8 +183,7 @@ def test_storage_of_other_constructors():
         q = BinaryForm.from_coeff_vector(d, [Fraction(rng.randint(-9, 9), 6) for _ in range(d + 1)])
         alphas = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d + 1)]
         made = [from_binomial_coeffs(d, alphas), BiForm.from_pq(p, q), tensor_product(q, p),
-                embed_first(q), embed_second(q), *BiForm.from_pq(q, p).pq(),
-                extract_first(embed_first(q))]
+                *BiForm.from_pq(q, p).pq()]
         for f in made:
             assert _is_canonical(f, len(f.coeff_vector()))
             assert type(f).parse(str(f), f._degree) == f

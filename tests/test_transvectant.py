@@ -50,8 +50,11 @@ def test_transvectant_against_monomial_oracle():
         r = rng.randint(0, min(d, e))
         p = random_binary_form(rng, d)
         q = random_binary_form(rng, e)
-        expected = oracle.transvectant_pairs(to_dict(p), to_dict(q), (r,))
-        assert transvectant(p, q, r) == to_form(BinaryForm, d + e - 2 * r, expected)
+        # integer operands, then rational ones: q over e + 1 as C04 scales it
+        rational = (Fraction(rng.randint(1, 9), rng.randint(2, 7)) * p, Fraction(1, e + 1) * q)
+        for p, q in [(p, q), rational]:
+            expected = oracle.transvectant_pairs(to_dict(p), to_dict(q), (r,))
+            assert transvectant(p, q, r) == to_form(BinaryForm, d + e - 2 * r, expected)
 
 
 def test_symmetry_and_bilinearity():
