@@ -82,7 +82,9 @@ def _cmd_kernel(args):
     except ValueError as exc:
         raise UsageError(f"bad --source {args.source!r}: expected A,B") from exc
     (a, b), r, s = f.bidegree, args.r, args.s
-    cells = (a + a2 - 2 * r + 1) * (b + b2 - 2 * s + 1) * (a2 + 1) * (b2 + 1)
+    # the map is rows x cols, its kernel basis up to cols x cols
+    rows, cols = (a + a2 - 2 * r + 1) * (b + b2 - 2 * s + 1), (a2 + 1) * (b2 + 1)
+    cells = max(rows, cols) * cols
     if cells > MAX_KERNEL_CELLS:
         raise UsageError(f"--source {args.source}: a matrix of {cells} entries, "
                          f"more than {MAX_KERNEL_CELLS}")

@@ -8,8 +8,7 @@ zero form has den = 1, so equality and hashing are tuple operations; `_make`
 is the one private constructor, reducing the pair by linalg._reduce as QMat
 does.  The integer kernels read and write this storage directly, and forms
 print straight from it.  `parse` reads the parser's terms into this
-storage, checking each term's degree; reduced Fractions over their lcm are
-canonical already, so it builds the pair without `_make`.
+storage, checking each term's degree.
 
 The three public classes only declare their ring and its variable groups: a
 binary form lives on (X, Y), one group of two; a biform on (X1, Y1 | X2, Y2),
@@ -144,9 +143,7 @@ class _Form:
             if i is None:
                 raise ValueError(f"term {exps} is not of degree {degree}")
             num[i] = n
-        new = object.__new__(cls)
-        new._degree, new._num, new._den = degree, tuple(num), den
-        return new
+        return cls._make(degree, num, den)
 
     def coeff_vector(self):
         """Coefficients in the canonical basis, as Fractions."""

@@ -17,7 +17,8 @@ bitransvectant and transvectant_matrix share one integer kernel on the first
 operand's numerators and bidegree: f's (r,s) derivative table is built once,
 and each term of the second operand adds a shifted, scaled copy of it (one
 unit monomial per column for the matrix).  A degree-d binary form enters it
-as the numerators of bidegree (d, 0), where index i is X1^(d-i) Y1^i.
+as the numerators of bidegree (d, 0), where index i is X1^(d-i) Y1^i.  Each
+order runs only where both falling factorials of a term are nonzero.
 
 apolar_diffop realizes the extreme transvectant r = d' <= d by substituting
 (-d/dY, d/dX) for (X, Y) in P', applying the resulting operator to P and
@@ -92,29 +93,22 @@ def _cayley(num, bidegree, r, s, source_bidegree, operands):
             continue
         y1, y2 = divmod(index, b + 1)
         x1, x2 = a - y1, b - y2
-        for i in range(r + 1):
+        for i in range(max(0, r - x1), min(r, y1) + 1):
             ci = (-1) ** i * comb(r, i) * c * perm(x1, r - i) * perm(y1, i)
-            if not ci:
-                continue
-            for j in range(s + 1):
+            for j in range(max(0, s - x2), min(s, y2) + 1):
                 w = (-1) ** j * comb(s, j) * ci * perm(x2, s - j) * perm(y2, j)
-                if w:
-                    table[i][j].append(((y1 - i) * width + y2 - j, w))
+                table[i][j].append(((y1 - i) * width + y2 - j, w))
     vectors = []
     for terms in operands:
         out = [0] * ((target[0] + 1) * width)
         for index, c in terms:
             q, v = divmod(index, b2 + 1)
             p, u = a2 - q, b2 - v
-            for i in range(r + 1):
+            for i in range(max(0, r - q), min(r, p) + 1):
                 ci = c * perm(p, i) * perm(q, r - i)
-                if not ci:
-                    continue
                 row_shift = (q - r + i) * width - s
-                for j in range(s + 1):
+                for j in range(max(0, s - v), min(s, u) + 1):
                     k = ci * perm(u, j) * perm(v, s - j)
-                    if not k:
-                        continue
                     shift = row_shift + v + j
                     for t, w in table[i][j]:
                         out[t + shift] += k * w

@@ -36,6 +36,10 @@ LINALG, ACTIONS, CURVES, CHECKS, TRANSVECTANT, FORMS = (f"src/biforms/{m}.py" fo
 T_LINALG, T_ACTIONS, T_CURVES, T_CHECKS, T_TRANSVECTANT, T_FORMS = (f"tests/test_{m}.py"
                                                                     for m in MODULES)
 PARSING, T_PARSE = "src/biforms/parsing.py", "tests/test_parse.py"
+# the three routes through the Cayley kernel, each against its oracle
+CAYLEY_ORACLES = [f"{T_TRANSVECTANT}::test_{name}" for name in (
+    "transvectant_against_monomial_oracle", "bitransvectant_matches_oracle",
+    "transvectant_matrix_matches_oracle")]
 
 # (name, file, old text, new text, tests expected to fail)
 MUTANTS = [
@@ -91,9 +95,15 @@ MUTANTS = [
       f"{T_ACTIONS}::test_act_ternary_matches_oracle"]),
     ("cayley-first-pair-sign-dropped", TRANSVECTANT,
      "ci = (-1) ** i * comb(r, i) * c", "ci = comb(r, i) * c",
-     [f"{T_TRANSVECTANT}::test_transvectant_against_monomial_oracle",
-      f"{T_TRANSVECTANT}::test_bitransvectant_matches_oracle",
-      f"{T_TRANSVECTANT}::test_transvectant_matrix_matches_oracle"]),
+     CAYLEY_ORACLES),
+    ("cayley-table-last-first-order-dropped", TRANSVECTANT,
+     "min(r, y1) + 1", "min(r, y1)", CAYLEY_ORACLES),
+    ("cayley-table-first-second-order-dropped", TRANSVECTANT,
+     "max(0, s - x2)", "max(0, s - x2) + 1", CAYLEY_ORACLES),
+    ("cayley-operand-last-first-order-dropped", TRANSVECTANT,
+     "min(r, p) + 1", "min(r, p)", CAYLEY_ORACLES),
+    ("cayley-operand-first-second-order-dropped", TRANSVECTANT,
+     "max(0, s - v)", "max(0, s - v) + 1", CAYLEY_ORACLES),
     ("top-minors-laplace-sign-without-j", LINALG,
      "            sign = -1 if j % 2 else 1\n", "            sign = 1\n",
      [f"{T_LINALG}::test_top_minors_examples",

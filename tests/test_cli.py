@@ -177,9 +177,16 @@ _WORK = "more than 100000 term operations"
     # the input is accepted; its 5,000-digit result is refused, not printed
     (["transvect", "--lhs", f"({'9' * 1000}*X)^5", "--rhs", "X", "--r", "0"],
      "coefficient longer than 4300 digits"),
+    # one nonzero Cayley term, 4300!^2; the other 4,300 orders vanish and are not visited
+    (["transvect", "--lhs", "X^4300", "--rhs", "Y^4300", "--r", "4300"],
+     "coefficient longer than 4300 digits"),
+    # a 1 x 10,000 map, but a kernel basis of 9,999 rows of 10,000 entries
+    (["kernel", "--form", "X1^99*X2^99", "--r", "99", "--s", "99", "--source", "99,99"],
+     "entries, more than 100000"),
 ], ids=["huge-exponent", "dense-power", "nested-power", "huge-source",
         "long-product", "huge-form", "huge-coefficients", "product-chain", "long-literals",
-        "overlong-literal", "superscript-exponent", "non-ascii-digit", "overlong-output"])
+        "overlong-literal", "superscript-exponent", "non-ascii-digit", "overlong-output",
+        "vanishing-cayley-terms", "huge-kernel-basis"])
 def test_hostile_input_exits_2_within_1s(argv, message, capsys):
     code, seconds = _bounded_main(argv)
     err = capsys.readouterr().err

@@ -205,16 +205,21 @@ def test_transvectant_matrix_columns_match_direct_evaluation():
 
 def _oracle_cases():
     """(f, g, r, s) on a seeded grid: every order pair from (0, 0) to the
-    maximum, integer, rational and zero operands."""
+    maximum, integer, rational, zero and single-monomial operands."""
     rng = Random("cayley-oracle")
 
     def operand(a, b):
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
         if kind == 0:
             return BiForm.zero((a, b))
         if kind == 1:
             return BiForm.from_coeff_vector((a, b), [
                 Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in biform_basis(a, b)])
+        if kind == 2:
+            # one term, so f's orders too run over a single nonzero range
+            vec = [0] * len(biform_basis(a, b))
+            vec[rng.randrange(len(vec))] = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+            return BiForm.from_coeff_vector((a, b), vec)
         return random_biform(rng, a, b)
 
     for _ in range(40):
