@@ -29,6 +29,7 @@ from .transvectant import bitransvectant, transvectant, transvectant_matrix
 
 
 MAX_KERNEL_CELLS = 100_000   # matrix entries of `kernel`; the benchmark's largest is 1,296
+MAX_CAYLEY_WORDS = 1_000_000  # estimated work of `transvect`; the benchmark's largest is 4,340
 
 
 class UsageError(Exception):
@@ -63,15 +64,45 @@ def _cmd_verify(args):
     return 0 if all(c.status == "pass" for c in report.checks) else 1
 
 
+def _cayley_words(f, g, bidegrees, r, s):
+    """An upper estimate of the work of T_(r,s)(f, g) in the Cayley kernel,
+    taken before it runs: its products, each counted in 64-bit words.
+
+    A term X1^x1 Y1^y1 X2^x2 Y2^y2 visits the orders (i, j) where both of its
+    falling factorials are nonzero.  f's table takes one product per visited
+    order, and each visited order of a term of g takes one, plus one per
+    term of f.  No product exceeds |c| 2^(r+s) a^r b^s times |c'| a'^r b'^s.
+    """
+    (a, b), (a2, b2) = bidegrees
+
+    def orders(h, d1, d2):
+        terms = visits = 0
+        for index, c in enumerate(h._num):
+            if c:
+                y1, y2 = divmod(index, d2 + 1)
+                x1, x2 = d1 - y1, d2 - y2
+                terms += 1
+                visits += (max(0, min(r, y1) - max(0, r - x1) + 1)
+                           * max(0, min(s, y2) - max(0, s - x2) + 1))
+        return terms, visits
+
+    f_terms, f_orders = orders(f, a, b)
+    _, g_orders = orders(g, a2, b2)
+    bits = (max(map(abs, f._num)).bit_length() + max(map(abs, g._num)).bit_length()
+            + r * (1 + a.bit_length() + a2.bit_length())
+            + s * (1 + b.bit_length() + b2.bit_length()))
+    return (f_orders + g_orders * (f_terms + 1)) * (1 + bits // 64)
+
+
 def _cmd_transvect(args):
-    if args.s is None:
-        p = BinaryForm.parse(args.lhs)
-        q = BinaryForm.parse(args.rhs)
-        print(transvectant(p, q, args.r))
-    else:
-        f = BiForm.parse(args.lhs)
-        g = BiForm.parse(args.rhs)
-        print(bitransvectant(f, g, args.r, args.s))
+    binary = args.s is None
+    kind, s = (BinaryForm, 0) if binary else (BiForm, args.s)
+    f, g = kind.parse(args.lhs), kind.parse(args.rhs)
+    bidegrees = [(h.degree, 0) if binary else h.bidegree for h in (f, g)]
+    words = _cayley_words(f, g, bidegrees, args.r, s)
+    if words > MAX_CAYLEY_WORDS:
+        raise UsageError(f"a Cayley sum of {words} word operations, more than {MAX_CAYLEY_WORDS}")
+    print(transvectant(f, g, args.r) if binary else bitransvectant(f, g, args.r, s))
     return 0
 
 

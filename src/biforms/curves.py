@@ -17,10 +17,12 @@ the second-pair partials taken on the values, and each Sylvester
 determinant is an integer Bareiss pass.  These samples are the values of
 an integer polynomial in t, so its Newton divided differences are exact
 integer divisions; the Newton form is expanded on integers and stored over
-the one denominator s^(2(b-1)).  Every other curve function reads F's integer
-vector as the matrix of the map, a+1 rows of b+1 (_rows): the span and the
-image subspace are its rank and row space, and the components its columns,
-c_0 last.
+the one denominator s^(2(b-1)).  branch_form_is_zero takes the same
+determinants at the same nodes and stops at the first nonzero one: a
+polynomial of degree at most 2a(b-1) with 2a(b-1)+1 zeros is zero.  Every
+other curve function reads F's integer vector as the matrix of the map, a+1
+rows of b+1 (_rows): the span and the image subspace are its rank and row
+space, and the components its columns, c_0 last.
 
 A binary form is squarefree when the Sylvester resultant of its two
 partials is nonzero.  The gcd of two binary forms is read off a Bareiss
@@ -183,6 +185,27 @@ def _interpolate(points):
     return acc
 
 
+def _branch_columns(f: BiForm):
+    """F's integer columns, or None when a second-pair partial is zero (the
+    branch form is then zero).  col[k] is the (X1,Y1)-form at X2^(b-k) Y2^k,
+    X1-power descending, over F's denominator."""
+    a, b = f.bidegree
+    if a < 1 or b < 1:
+        raise ValueError("bidegree components must be >= 1")
+    vec = f._num
+    col = [vec[k::b + 1] for k in range(b + 1)]
+    # dF/dX2 reads every column but the last, dF/dY2 every one but the first
+    if not any(map(any, col[:b])) or not any(map(any, col[1:])):
+        return None
+    return col
+
+
+def _branch_value(col, t):
+    """The Sylvester determinant of the second-pair partials at X1 = t, Y1 = 1
+    (the empty determinant 1 when b = 1), on F's integer columns."""
+    return _int_det(_sylvester_rows(*_partials([_horner(w, t) for w in col])))
+
+
 def branch_form(f: BiForm) -> BinaryForm:
     """Resultant in (X2,Y2) of the two second-pair partials of F.
 
@@ -191,26 +214,25 @@ def branch_form(f: BiForm) -> BinaryForm:
     exactly 2a(b-1) and is squarefree.  An identically vanishing resultant
     (degenerate F) is reported as the zero form of that nominal degree.
     """
+    col = _branch_columns(f)
     a, b = f.bidegree
-    if a < 1 or b < 1:
-        raise ValueError("bidegree components must be >= 1")
-    target = 2 * a * (b - 1)
-    n = b - 1
-    vec, s = f._num, f._den
-    # col[k]: the (X1,Y1)-form at X2^(b-k) Y2^k, X1-power descending;
-    # dF/dX2 reads every column but the last, dF/dY2 every one but the first
-    col = [vec[k::b + 1] for k in range(b + 1)]
-    if not any(map(any, col[:b])) or not any(map(any, col[1:])):
+    target, n = 2 * a * (b - 1), b - 1
+    if col is None:
         return BinaryForm.zero(target)
-    if n == 0:
-        return BinaryForm._make(0, (1,), 1)
     # Sylvester determinant has entries homogeneous of degree a, size 2n,
     # so it is homogeneous of degree 2an = target (or identically zero);
     # interpolate its dehomogenization from target+1 integer evaluations.
-    samples = [(t, _int_det(_sylvester_rows(*_partials([_horner(w, t) for w in col]))))
-               for t in range(target + 1)]
+    samples = [(t, _branch_value(col, t)) for t in range(target + 1)]
     # ascending powers of X1 are the basis order reversed
-    return BinaryForm._make(target, _interpolate(samples)[::-1], s ** (2 * n))
+    return BinaryForm._make(target, _interpolate(samples)[::-1], f._den ** (2 * n))
+
+
+def branch_form_is_zero(f: BiForm) -> bool:
+    """Whether branch_form(f) is the zero form, stopping at the first nonzero
+    value: a polynomial of degree at most 2a(b-1) with 2a(b-1)+1 zeros is zero."""
+    col = _branch_columns(f)
+    a, b = f.bidegree
+    return col is None or not any(_branch_value(col, t) for t in range(2 * a * (b - 1) + 1))
 
 
 def _horner(coeffs, t):

@@ -124,8 +124,11 @@ MUTANTS = [
      "big * image[j] + sum(map(mul, coords, column))",
      [f"{T_ACTIONS}::test_subspace_stabilizer_matches_oracle_on_special_subspaces"]),
     ("branch-scale-s-to-the-n", CURVES,
-     "s ** (2 * n)", "s ** n",
+     "f._den ** (2 * n)", "f._den ** n",
      [f"{T_CURVES}::test_branch_form_matches_oracle"]),
+    ("branch-is-zero-first-node-only", CURVES,
+     "range(2 * a * (b - 1) + 1)", "range(1)",
+     [f"{T_CURVES}::test_branch_form_is_zero_agrees_with_branch_form"]),
     ("hyperplane-block-shift-dropped", CURVES,
      "else 0 for s in range(a)]", "else 0 for s in range(a - 1)]",
      [f"{T_CURVES}::test_hyperplane_degree_examples",

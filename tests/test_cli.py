@@ -180,13 +180,17 @@ _WORK = "more than 100000 term operations"
     # one nonzero Cayley term, 4300!^2; the other 4,300 orders vanish and are not visited
     (["transvect", "--lhs", "X^4300", "--rhs", "Y^4300", "--r", "4300"],
      "coefficient longer than 4300 digits"),
+    # all 2,001 first-pair orders are nonzero, each a product of falling
+    # factorials of thousands of digits: refused before the Cayley sum starts
+    (["transvect", "--lhs", "X^2000*Y^2000", "--rhs", "X^2000*Y^2000", "--r", "2000"],
+     "word operations, more than 1000000"),
     # a 1 x 10,000 map, but a kernel basis of 9,999 rows of 10,000 entries
     (["kernel", "--form", "X1^99*X2^99", "--r", "99", "--s", "99", "--source", "99,99"],
      "entries, more than 100000"),
 ], ids=["huge-exponent", "dense-power", "nested-power", "huge-source",
         "long-product", "huge-form", "huge-coefficients", "product-chain", "long-literals",
         "overlong-literal", "superscript-exponent", "non-ascii-digit", "overlong-output",
-        "vanishing-cayley-terms", "huge-kernel-basis"])
+        "vanishing-cayley-terms", "cayley-work", "huge-kernel-basis"])
 def test_hostile_input_exits_2_within_1s(argv, message, capsys):
     code, seconds = _bounded_main(argv)
     err = capsys.readouterr().err
@@ -200,7 +204,8 @@ def test_readme_states_every_input_limit():
     limits = " ".join(text[text.index("Input limits"):text.index("## Demos")].split())
     for value, unit in [(parsing.MAX_DEPTH, "deep"), (parsing.MAX_WORK, "term operations"),
                         (parsing.WEIGHT_BITS, "bits"), (parsing.MAX_DIGITS, "digits"),
-                        (forms.MAX_DIM, "coefficients"), (cli.MAX_KERNEL_CELLS, "entries")]:
+                        (forms.MAX_DIM, "coefficients"), (cli.MAX_KERNEL_CELLS, "entries"),
+                        (cli.MAX_CAYLEY_WORDS, "word operations")]:
         assert f"{value:,} {unit}" in limits, (value, unit)
 
 

@@ -25,7 +25,7 @@ from biforms import (
 )
 from biforms.checks import DEGREE_GRID
 import biforms.curves as curves_mod
-from biforms.curves import _interpolate
+from biforms.curves import _interpolate, branch_form_is_zero
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair
 from helpers import (
     dict_diff,
@@ -465,6 +465,33 @@ def test_branch_form_grid_examples():
     assert bg.degree == 6 and not bg.is_zero()
     degenerate = branch_form(BiForm.parse("X1^2*X2^4"))
     assert degenerate.is_zero()
+
+
+def test_branch_form_is_zero_agrees_with_branch_form():
+    def agree(f):
+        zero = branch_form_is_zero(f)
+        assert zero == branch_form(f).is_zero(), str(f)
+        return zero
+
+    rng = Random("branch-is-zero")
+    for (a, b) in DEGREE_GRID:
+        for _ in range(3):
+            assert not agree(random_biform(rng, a, b))
+    # the branch form is p^(2(b-1)) times that of q: zero at t = 0 and t = 1
+    # from p, so only a later node shows that it is not the zero form
+    p = BinaryForm.parse("X*(X - Y)")
+    squarefree = tensor_product(p, BinaryForm.parse("X^3 - 2*X*Y^2 + 5*Y^3"))
+    assert not agree(squarefree)
+    assert [curves_mod._branch_value(curves_mod._branch_columns(squarefree), t)
+            for t in (0, 1)] == [0, 0]
+    # q with a double root: identically zero
+    assert agree(tensor_product(p, BinaryForm.parse("(X - 2*Y)^2*(X + Y)")))
+    # a zero partial, dF/dY2
+    assert agree(BiForm.parse("X1^2*X2^4"))
+    # b = 1: the empty determinant, 1
+    assert not agree(BiForm.parse("X1*X2 + 3*Y1*Y2"))
+    with pytest.raises(ValueError, match="bidegree"):
+        branch_form_is_zero(BiForm.parse("X2^3 + Y2^3"))
 
 
 def test_branch_form_riemann_hurwitz_count():
