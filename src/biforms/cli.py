@@ -72,6 +72,8 @@ def _cayley_words(f, g, bidegrees, r, s):
     falling factorials are nonzero.  f's table takes one product per visited
     order, and each visited order of a term of g takes one, plus one per
     term of f.  No product exceeds |c| 2^(r+s) a^r b^s times |c'| a'^r b'^s.
+    It counts orders only, so no weight is computed or cached before the
+    estimate is checked.
     """
     (a, b), (a2, b2) = bidegrees
 
@@ -112,6 +114,8 @@ def _cmd_kernel(args):
         a2, b2 = (int(x) for x in args.source.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --source {args.source!r}: expected A,B") from exc
+    if a2 < 0 or b2 < 0:
+        raise UsageError(f"--source {args.source}: degrees must be >= 0")
     (a, b), r, s = f.bidegree, args.r, args.s
     # the map is rows x cols, its kernel basis up to cols x cols
     rows, cols = (a + a2 - 2 * r + 1) * (b + b2 - 2 * s + 1), (a2 + 1) * (b2 + 1)

@@ -18,7 +18,9 @@ operand's numerators and bidegree: f's (r,s) derivative table is built once,
 and each term of the second operand adds a shifted, scaled copy of it (one
 unit monomial per column for the matrix).  A degree-d binary form enters it
 as the numerators of bidegree (d, 0), where index i is X1^(d-i) Y1^i.  Each
-order runs only where both falling factorials of a term are nonzero.
+order runs only where both falling factorials of a term are nonzero, and a
+term's row of (order, weight) pairs is cached by its exponents, the order and
+the side, so a warm call computes no falling factorial.
 
 apolar_diffop realizes the extreme transvectant r = d' <= d by substituting
 (-d/dY, d/dX) for (X, Y) in P', applying the resulting operator to P and
@@ -31,6 +33,7 @@ verification registry re-derives numerically.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial, perm
 
 from .forms import BiForm, BinaryForm
@@ -51,6 +54,8 @@ def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     q's term X^(e-k) Y^k acts as (-1)^(e-k) d^e / dX^k dY^(e-k), which sends
     p's X^(d-i) Y^i, i = m + e - k, to perm(d-i, k) perm(i, e-k) X^(d-e-m) Y^m;
     the integer numerators of p and q are convolved that way in one vector.
+    It computes its own falling factorials and never reads the Cayley
+    kernel's cached weights, so C04 compares two independent routes.
     """
     d, e = p.degree, q.degree
     if e > d:
@@ -63,6 +68,17 @@ def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
                 i = m + e - k
                 out[m] += w * perm(d - i, k) * perm(i, e - k) * p._num[i]
     return BinaryForm._make(d - e, out, p._den * q._den)
+
+
+@lru_cache(maxsize=4096)
+def _weights(y, x, r, table):
+    """(order i, weight) over the orders i where both falling factorials of
+    the term X^x Y^y are nonzero: (-1)^i C(r,i) perm(x, r-i) perm(y, i) for a
+    term of f (table), perm(x, i) perm(y, r-i) for a term of an operand."""
+    if table:
+        return tuple((i, (-1) ** i * comb(r, i) * perm(x, r - i) * perm(y, i))
+                     for i in range(max(0, r - x), min(r, y) + 1))
+    return tuple((i, perm(x, i) * perm(y, r - i)) for i in range(max(0, r - y), min(r, x) + 1))
 
 
 def _cayley(num, bidegree, r, s, source_bidegree, operands):
@@ -92,23 +108,22 @@ def _cayley(num, bidegree, r, s, source_bidegree, operands):
         if not c:
             continue
         y1, y2 = divmod(index, b + 1)
-        x1, x2 = a - y1, b - y2
-        for i in range(max(0, r - x1), min(r, y1) + 1):
-            ci = (-1) ** i * comb(r, i) * c * perm(x1, r - i) * perm(y1, i)
-            for j in range(max(0, s - x2), min(s, y2) + 1):
-                w = (-1) ** j * comb(s, j) * ci * perm(x2, s - j) * perm(y2, j)
-                table[i][j].append(((y1 - i) * width + y2 - j, w))
+        seconds = _weights(y2, b - y2, s, True)
+        for i, wi in _weights(y1, a - y1, r, True):
+            ci = c * wi
+            for j, wj in seconds:
+                table[i][j].append(((y1 - i) * width + y2 - j, ci * wj))
     vectors = []
     for terms in operands:
         out = [0] * ((target[0] + 1) * width)
         for index, c in terms:
             q, v = divmod(index, b2 + 1)
-            p, u = a2 - q, b2 - v
-            for i in range(max(0, r - q), min(r, p) + 1):
-                ci = c * perm(p, i) * perm(q, r - i)
+            seconds = _weights(v, b2 - v, s, False)
+            for i, wi in _weights(q, a2 - q, r, False):
+                ci = c * wi
                 row_shift = (q - r + i) * width - s
-                for j in range(max(0, s - v), min(s, u) + 1):
-                    k = ci * perm(u, j) * perm(v, s - j)
+                for j, wj in seconds:
+                    k = ci * wj
                     shift = row_shift + v + j
                     for t, w in table[i][j]:
                         out[t + shift] += k * w

@@ -94,16 +94,20 @@ MUTANTS = [
      [f"{T_ACTIONS}::test_act_matches_oracle",
       f"{T_ACTIONS}::test_act_ternary_matches_oracle"]),
     ("cayley-first-pair-sign-dropped", TRANSVECTANT,
-     "ci = (-1) ** i * comb(r, i) * c", "ci = comb(r, i) * c",
+     "for i, wi in _weights(y1, a - y1, r, True):\n            ci = c * wi",
+     "for i, wi in _weights(y1, a - y1, r, True):\n            ci = c * abs(wi)",
      CAYLEY_ORACLES),
-    ("cayley-table-last-first-order-dropped", TRANSVECTANT,
-     "min(r, y1) + 1", "min(r, y1)", CAYLEY_ORACLES),
-    ("cayley-table-first-second-order-dropped", TRANSVECTANT,
-     "max(0, s - x2)", "max(0, s - x2) + 1", CAYLEY_ORACLES),
-    ("cayley-operand-last-first-order-dropped", TRANSVECTANT,
-     "min(r, p) + 1", "min(r, p)", CAYLEY_ORACLES),
-    ("cayley-operand-first-second-order-dropped", TRANSVECTANT,
-     "max(0, s - v)", "max(0, s - v) + 1", CAYLEY_ORACLES),
+    ("cayley-table-last-order-dropped", TRANSVECTANT,
+     "min(r, y) + 1", "min(r, y)", CAYLEY_ORACLES),
+    ("cayley-table-first-order-dropped", TRANSVECTANT,
+     "max(0, r - x)", "max(0, r - x) + 1", CAYLEY_ORACLES),
+    ("cayley-operand-last-order-dropped", TRANSVECTANT,
+     "min(r, x) + 1", "min(r, x)", CAYLEY_ORACLES),
+    ("cayley-operand-first-order-dropped", TRANSVECTANT,
+     "max(0, r - y)", "max(0, r - y) + 1", CAYLEY_ORACLES),
+    ("cayley-weights-uncached", TRANSVECTANT,
+     "@lru_cache(maxsize=4096)\ndef _weights(", "def _weights(",
+     [f"{T_TRANSVECTANT}::test_warm_cayley_computes_no_falling_factorial"]),
     ("top-minors-laplace-sign-without-j", LINALG,
      "            sign = -1 if j % 2 else 1\n", "            sign = 1\n",
      [f"{T_LINALG}::test_top_minors_examples",

@@ -115,6 +115,12 @@ def test_malformed_source_exits_2(capsys):
     assert "bad --source" in capsys.readouterr().err
 
 
+def test_negative_source_degree_exits_2(capsys):
+    # the message blames the degree, not the order it would put out of range
+    assert main(["kernel", "--form", "X1*X2", "--r", "0", "--s", "0", "--source", "1,-2"]) == 2
+    assert capsys.readouterr().err == "error: --source 1,-2: degrees must be >= 0\n"
+
+
 def _bounded_main(argv):
     """(exit code, seconds) of main(argv), stopped by an alarm after 2 s and
     by MemoryError past 1 GB more address space, so that an input that is

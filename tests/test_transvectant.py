@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -29,6 +30,9 @@ from helpers import (
     to_dict,
     to_form,
 )
+
+# the module, not the function of the same name that the package exports
+KERNEL = importlib.import_module("biforms.transvectant")
 
 
 def test_transvectant_examples():
@@ -70,6 +74,20 @@ def test_symmetry_and_bilinearity():
         alpha = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         p0 = random_binary_form(rng, d)
         assert transvectant(alpha * p + p0, q, r) == alpha * t + transvectant(p0, q, r)
+
+
+def _refuse(*args):
+    raise AssertionError(f"called with {args}")
+
+
+def test_apolar_does_not_read_the_cayley_weights(monkeypatch):
+    # C04 compares apolar_diffop with the Cayley kernel, so it must not share its weights
+    monkeypatch.setattr(KERNEL, "_weights", _refuse)
+    p, q = BinaryForm.parse("X^3 - 2*X*Y^2 + 5*Y^3"), BinaryForm.parse("X*Y - Y^2")
+    expected = oracle_apolar_diffop(to_dict(p), to_dict(q))
+    assert apolar_diffop(p, q) == to_form(BinaryForm, 1, expected)
+    with pytest.raises(AssertionError):
+        transvectant(p, q, 2)
 
 
 def test_apolar_examples():
@@ -268,3 +286,39 @@ def test_cg_components():
     for d in range(0, 11):
         for e in range(0, 11):
             assert sum(k + 1 for k in cg_components(d, e)) == (d + 1) * (e + 1)
+
+
+def test_warm_cayley_computes_no_falling_factorial(monkeypatch):
+    rng = Random("warm-cayley")
+    p, q = random_binary_form(rng, 5), random_binary_form(rng, 4)
+    f, g = random_biform(rng, 2, 5), random_biform(rng, 1, 4)
+
+    def calls():
+        return (transvectant(p, q, 2), bitransvectant(f, g, 1, 2),
+                transvectant_matrix(f, 1, 2, (1, 4)))
+
+    cold = calls()
+    monkeypatch.setattr(KERNEL, "perm", _refuse)
+    monkeypatch.setattr(KERNEL, "comb", _refuse)
+    assert calls() == cold
+
+
+def test_cold_weight_cache_keeps_the_sides_apart():
+    # f's signed row and an operand's unsigned row of one (y, x, r) are two
+    # cache entries: from a cleared cache, each pair of calls below meets
+    # such a key on one side first and then on the other, in both orders
+    rng = Random("cold-cache")
+    for _ in range(40):
+        a, b = rng.randint(0, 2), rng.randint(0, 5)
+        r, s = rng.randint(0, a), rng.randint(0, b)
+        f, g = random_biform(rng, a, b), random_biform(rng, a, b)
+        p, q = random_binary_form(rng, b), random_binary_form(rng, b)
+        for pair in [(f, g), (g, f)]:
+            KERNEL._weights.cache_clear()
+            for x, y in (pair, pair[::-1]):
+                assert bitransvectant(x, y, r, s) == _oracle_bitransvectant(x, y, r, s)
+        for pair in [(p, q), (q, p)]:
+            KERNEL._weights.cache_clear()
+            for x, y in (pair, pair[::-1]):
+                expected = oracle.transvectant_pairs(to_dict(x), to_dict(y), (s,))
+                assert transvectant(x, y, s) == to_form(BinaryForm, 2 * b - 2 * s, expected)
