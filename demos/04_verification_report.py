@@ -3,7 +3,7 @@
 Each check C01..C14 re-derives one family of exact identities and returns
 structured witnesses.  This script runs the fast checks and prints a
 markdown report; the full registry (including the sampled genericity
-sweeps C07-C09, about 0.45-0.8 s as a whole process on 2 cores) is one CLI
+sweeps C07-C09, about 0.45-0.7 s as a whole process on 2 cores) is one CLI
 call:
 
     biforms verify --seed 0 --format md

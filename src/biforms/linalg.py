@@ -23,8 +23,10 @@ with the multipliers zeroed.  _echelon, the one reduced echelon routine,
 runs that pass, then back-substitutes by exact division over the last
 pivot, which keeps the integers small at the sizes that occur here;
 kernel_basis reads its basis off one _echelon of the half-turned matrix.
-The maximal minors of a tall matrix take no elimination: top_minors builds
-them column by column by Laplace expansion, without division.
+The maximal minors of a tall matrix take no elimination: _minors builds
+them on the integer rows column by column by Laplace expansion, without
+division, each minor keyed by the bitmask of its rows, so dropping row i
+from a subset is one xor; top_minors is those integers over den^cols.
 
 A Subspace is held in canonical reduced row-echelon form: rows are the basis,
 pivots are 1 with zeros elsewhere in their columns, pivot columns strictly
@@ -34,6 +36,7 @@ increase.  Subspace equality is literal equality of that representation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -355,34 +358,49 @@ def det(m: QMat) -> Fraction:
     return Fraction(_int_det([list(row) for row in m._num]), m._den ** m.rows)
 
 
+@lru_cache(maxsize=64)
+def _subsets(n, k):
+    """(bitmask, indices) of the size-k subsets of range(n), in combinations
+    order (read-only: the list is shared)."""
+    return [(sum(1 << i for i in s), s) for s in combinations(range(n), k)]
+
+
+def _minors(rows, cols):
+    """The maximal minors of tall integer rows on their first cols columns,
+    as {bitmask of the rows: minor}, in combinations order of the row subsets.
+
+    Laplace build-up: the minor on rows S and the first j + 1 columns is the
+    expansion along column j, the sum over t of (-1)^(t+j) column[S_t] times
+    the minor on S without S_t, keyed mask ^ (1 << S_t), and the first j
+    columns.  Each column is read once; no division, one multiply-add per
+    nonzero (subset, row) entry.
+    """
+    minors = {0: 1}
+    for j in range(cols):
+        column = [row[j] for row in rows]
+        level = {}
+        for mask, subset in _subsets(len(rows), j + 1):
+            total = 0
+            sign = -1 if j % 2 else 1
+            for i in subset:
+                x = column[i]
+                if x:
+                    total += sign * x * minors[mask ^ (1 << i)]
+                sign = -sign
+            level[mask] = total
+        minors = level
+    return minors
+
+
 def top_minors(m: QMat):
     """All maximal minors of a tall matrix (rows >= cols).
 
     Minors are indexed by the size-cols subsets of the row indices,
     enumerated in lexicographic order; they are the Pluecker coordinates
-    of the column span.  All zero iff rank < cols.
-
-    Laplace build-up on the integer rows: the minor on rows S and the first
-    j + 1 columns is the expansion along column j, the sum over t of
-    (-1)^(t+j) m[S_t][j] times the minor on S without S_t and the first j
-    columns.  No division; one multiply-add per nonzero (subset, row) entry.
+    of the column span.  All zero iff rank < cols.  Each is _minors'
+    integer on the numerators over den^cols.
     """
     if m.cols > m.rows:
         raise ValueError("top_minors requires rows >= cols")
-    rows = m._num
-    minors = {(): 1}
-    for j in range(m.cols):
-        level = {}
-        for subset in combinations(range(m.rows), j + 1):
-            total = 0
-            sign = -1 if j % 2 else 1
-            for t, i in enumerate(subset):
-                x = rows[i][j]
-                if x:
-                    total += sign * x * minors[subset[:t] + subset[t + 1:]]
-                sign = -sign
-            level[subset] = total
-        minors = level
-    # each minor is an integer over den^cols; dicts keep the combinations order
     scale = m._den ** m.cols
-    return tuple(Fraction(x, scale) for x in minors.values())
+    return tuple(Fraction(x, scale) for x in _minors(m._num, m.cols).values())

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from biforms import BinaryForm
+from biforms import BinaryForm, QMat
 from biforms.checks import (
     REGISTRY,
     CheckResult,
@@ -320,12 +320,29 @@ def test_c10_fails_with_wrong_act(monkeypatch):
     assert (status, wit) == ("fail", {"reason": "first-center scalar", "a": 3, "b": 2})
 
 
+def test_c10_fails_with_second_center_sign_dropped(monkeypatch):
+    # the second factor's -1 acting as the identity on bidegree (2, 3) only:
+    # the first centre still scales by (-1)^a, the second no longer by (-1)^b
+    import biforms.checks as checks_mod
+
+    real = checks_mod.act
+
+    def unsigned(g, f):
+        acted = real(g, f)
+        return -acted if f.bidegree == (2, 3) and g.g1 == QMat.identity(2) else acted
+
+    monkeypatch.setattr(checks_mod, "act", unsigned)
+    status, wit = checks_mod._check_c10(Random(0), 0)
+    assert (status, wit) == ("fail", {"reason": "second-center scalar", "a": 2, "b": 3})
+
+
 def test_c10_fails_with_negated_minors(monkeypatch):
     # a sign on every minor cancels in the Pluecker ratio; W's pivot minor sees it
     import biforms.checks as checks_mod
 
-    real = checks_mod.top_minors
-    monkeypatch.setattr(checks_mod, "top_minors", lambda m: tuple(-x for x in real(m)))
+    real = checks_mod._minors
+    monkeypatch.setattr(checks_mod, "_minors",
+                        lambda rows, cols: {k: -x for k, x in real(rows, cols).items()})
     status, wit = checks_mod._check_c10(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == "Pluecker pivot minor"
@@ -354,6 +371,32 @@ def test_c04_fails_with_scaled_apolar(monkeypatch, scale):
     status, wit = checks_mod._check_c04(Random(0), 0)
     assert status == "fail"
     assert wit["reason"] == "ratio not 1"
+
+
+def test_c04_fails_with_a_reversed_apolar(monkeypatch):
+    # the operator's coefficients reversed: a constant (d = e) is unchanged, a
+    # form of degree >= 1 is no multiple of the transvectant
+    import biforms.checks as checks_mod
+
+    real = checks_mod.apolar_diffop
+
+    def reversed_apolar(p, q):
+        out = real(p, q)
+        return BinaryForm._make(out.degree, out._num[::-1], out._den)
+
+    monkeypatch.setattr(checks_mod, "apolar_diffop", reversed_apolar)
+    status, wit = checks_mod._check_c04(Random(0), 0)
+    assert (status, wit) == ("fail", {"reason": "not proportional", "d": 2, "e": 1})
+
+
+def test_c04_fails_where_only_the_transvectant_vanishes(monkeypatch):
+    import biforms.checks as checks_mod
+
+    monkeypatch.setattr(checks_mod, "transvectant",
+                        lambda p, q, r: BinaryForm.zero(p.degree + q.degree - 2 * r))
+    status, wit = checks_mod._check_c04(Random(0), 0)
+    assert (status, wit) == ("fail", {"reason": "apolar nonzero where transvectant vanishes",
+                                      "d": 1, "e": 1})
 
 
 def test_c08_fails_with_a_spurious_gcd_factor(monkeypatch):
