@@ -655,7 +655,7 @@ def emit(report: Report, format: str, include_timing: bool = True) -> str:
             "summary": report.summary,
         }
         return json.dumps(payload, indent=2)
-    if format in ("markdown", "md"):
+    if format == "markdown":
         lines = [
             "# verification report",
             "",

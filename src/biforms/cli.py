@@ -11,7 +11,8 @@ Exit codes: 0 all checks pass / computation succeeded, 1 some check failed,
 2 usage or parse error, 3 internal error (any other exception, reported as
 one line on stderr).  Polynomial arguments use the package grammar;
 transvect with --s and the other biform arguments use variables X1,Y1,X2,Y2,
-plain binary forms use X,Y.
+plain binary forms use X,Y.  transvect and kernel set their bounds here, on
+the work estimate and target shape the transvectant module computes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .curves import branch_form, hyperplane_degree, span_dim
 from .forms import BiForm, BinaryForm
 from .linalg import kernel_basis
 from .parsing import ParseError
-from .transvectant import bitransvectant, transvectant, transvectant_matrix
+from .transvectant import _cayley_words, _shape, bitransvectant, transvectant, transvectant_matrix
 
 
 MAX_KERNEL_CELLS = 100_000   # matrix entries of `kernel`; the benchmark's largest is 1,296
@@ -55,8 +56,7 @@ def _cmd_verify(args):
         report = Report(VERSION, args.seed, [run_check(args.check, args.seed)])
     else:
         report = run_all(args.seed)
-    fmt = "markdown" if args.format == "md" else args.format
-    text = emit(report, fmt)
+    text = emit(report, "markdown" if args.format == "md" else args.format)
     if args.out:
         _write(args.out, "w", text + "\n")
     else:
@@ -64,44 +64,11 @@ def _cmd_verify(args):
     return 0 if all(c.status == "pass" for c in report.checks) else 1
 
 
-def _cayley_words(f, g, bidegrees, r, s):
-    """An upper estimate of the work of T_(r,s)(f, g) in the Cayley kernel,
-    taken before it runs: its products, each counted in 64-bit words.
-
-    A term X1^x1 Y1^y1 X2^x2 Y2^y2 visits the orders (i, j) where both of its
-    falling factorials are nonzero.  f's table takes one product per visited
-    order, and each visited order of a term of g takes one, plus one per
-    term of f.  No product exceeds |c| 2^(r+s) a^r b^s times |c'| a'^r b'^s.
-    It counts orders only, so no weight is computed or cached before the
-    estimate is checked.
-    """
-    (a, b), (a2, b2) = bidegrees
-
-    def orders(h, d1, d2):
-        terms = visits = 0
-        for index, c in enumerate(h._num):
-            if c:
-                y1, y2 = divmod(index, d2 + 1)
-                x1, x2 = d1 - y1, d2 - y2
-                terms += 1
-                visits += (max(0, min(r, y1) - max(0, r - x1) + 1)
-                           * max(0, min(s, y2) - max(0, s - x2) + 1))
-        return terms, visits
-
-    f_terms, f_orders = orders(f, a, b)
-    _, g_orders = orders(g, a2, b2)
-    bits = (max(map(abs, f._num)).bit_length() + max(map(abs, g._num)).bit_length()
-            + r * (1 + a.bit_length() + a2.bit_length())
-            + s * (1 + b.bit_length() + b2.bit_length()))
-    return (f_orders + g_orders * (f_terms + 1)) * (1 + bits // 64)
-
-
 def _cmd_transvect(args):
     binary = args.s is None
     kind, s = (BinaryForm, 0) if binary else (BiForm, args.s)
     f, g = kind.parse(args.lhs), kind.parse(args.rhs)
-    bidegrees = [(h.degree, 0) if binary else h.bidegree for h in (f, g)]
-    words = _cayley_words(f, g, bidegrees, args.r, s)
+    words = _cayley_words(f, g, args.r, s)
     if words > MAX_CAYLEY_WORDS:
         raise UsageError(f"a Cayley sum of {words} word operations, more than {MAX_CAYLEY_WORDS}")
     print(transvectant(f, g, args.r) if binary else bitransvectant(f, g, args.r, s))
@@ -116,14 +83,14 @@ def _cmd_kernel(args):
         raise UsageError(f"bad --source {args.source!r}: expected A,B") from exc
     if a2 < 0 or b2 < 0:
         raise UsageError(f"--source {args.source}: degrees must be >= 0")
-    (a, b), r, s = f.bidegree, args.r, args.s
+    target = _shape(f.bidegree, (a2, b2), args.r, args.s)
     # the map is rows x cols, its kernel basis up to cols x cols
-    rows, cols = (a + a2 - 2 * r + 1) * (b + b2 - 2 * s + 1), (a2 + 1) * (b2 + 1)
+    rows, cols = (target[0] + 1) * (target[1] + 1), (a2 + 1) * (b2 + 1)
     cells = max(rows, cols) * cols
     if cells > MAX_KERNEL_CELLS:
         raise UsageError(f"--source {args.source}: a matrix of {cells} entries, "
                          f"more than {MAX_KERNEL_CELLS}")
-    m = transvectant_matrix(f, r, s, (a2, b2))
+    m = transvectant_matrix(f, args.r, args.s, (a2, b2))
     ker = kernel_basis(m)
     basis = [str(BiForm._make((a2, b2), row, ker.basis._den)) for row in ker.basis._num]
     print(f"rank: {m.cols - ker.dim}")

@@ -17,10 +17,12 @@ bitransvectant and transvectant_matrix share one integer kernel on the first
 operand's numerators and bidegree: f's (r,s) derivative table is built once,
 and each term of the second operand adds a shifted, scaled copy of it (one
 unit monomial per column for the matrix).  A degree-d binary form enters it
-as the numerators of bidegree (d, 0), where index i is X1^(d-i) Y1^i.  Each
-order runs only where both falling factorials of a term are nonzero, and a
-term's row of (order, weight) pairs is cached by its exponents, the order and
-the side, so a warm call computes no falling factorial.
+as the numerators of bidegree (d, 0), where index i is X1^(d-i) Y1^i.  A
+term visits the orders where both its falling factorials are nonzero
+(_orders), and its row of (order, weight) pairs is cached by its exponents,
+the order and the side, so a warm call computes no falling factorial.
+_shape checks (r, s) and gives the target bidegree; _cayley_words, the work
+estimate `biforms transvect` checks first, counts the same orders.
 
 apolar_diffop realizes the extreme transvectant r = d' <= d by substituting
 (-d/dY, d/dX) for (X, Y) in P', applying the resulting operator to P and
@@ -70,15 +72,29 @@ def apolar_diffop(p: BinaryForm, q: BinaryForm) -> BinaryForm:
     return BinaryForm._make(d - e, out, p._den * q._den)
 
 
+def _orders(x, y, r):
+    """The orders i where perm(x, r-i) and perm(y, i) are both nonzero."""
+    return range(max(0, r - x), min(r, y) + 1)
+
+
+def _shape(bidegree, source_bidegree, r, s):
+    """The bidegree of T_(r,s) from these two; ValueError for a bad order."""
+    (a, b), (a2, b2) = bidegree, source_bidegree
+    if r < 0 or r > min(a, a2):
+        raise ValueError(f"first-pair order {r} out of range for ({a}, {a2})")
+    if s < 0 or s > min(b, b2):
+        raise ValueError(f"second-pair order {s} out of range for ({b}, {b2})")
+    return a + a2 - 2 * r, b + b2 - 2 * s
+
+
 @lru_cache(maxsize=4096)
 def _weights(y, x, r, table):
-    """(order i, weight) over the orders i where both falling factorials of
-    the term X^x Y^y are nonzero: (-1)^i C(r,i) perm(x, r-i) perm(y, i) for a
-    term of f (table), perm(x, i) perm(y, r-i) for a term of an operand."""
+    """(order i, weight) over the orders of the term X^x Y^y: (-1)^i C(r,i)
+    perm(x, r-i) perm(y, i) for f's table, perm(x, i) perm(y, r-i) for an operand."""
     if table:
         return tuple((i, (-1) ** i * comb(r, i) * perm(x, r - i) * perm(y, i))
-                     for i in range(max(0, r - x), min(r, y) + 1))
-    return tuple((i, perm(x, i) * perm(y, r - i)) for i in range(max(0, r - y), min(r, x) + 1))
+                     for i in _orders(x, y, r))
+    return tuple((i, perm(x, i) * perm(y, r - i)) for i in _orders(y, x, r))
 
 
 def _cayley(num, bidegree, r, s, source_bidegree, operands):
@@ -97,11 +113,7 @@ def _cayley(num, bidegree, r, s, source_bidegree, operands):
     index and a shift is one addition.
     """
     (a, b), (a2, b2) = bidegree, source_bidegree
-    if r < 0 or r > min(a, a2):
-        raise ValueError(f"first-pair order {r} out of range for ({a}, {a2})")
-    if s < 0 or s > min(b, b2):
-        raise ValueError(f"second-pair order {s} out of range for ({b}, {b2})")
-    target = (a + a2 - 2 * r, b + b2 - 2 * s)
+    target = _shape(bidegree, source_bidegree, r, s)
     width = target[1] + 1
     table = [[[] for _ in range(s + 1)] for _ in range(r + 1)]
     for index, c in enumerate(num):
@@ -131,6 +143,27 @@ def _cayley(num, bidegree, r, s, source_bidegree, operands):
     return target, vectors
 
 
+def _cayley_words(f, g, r, s):
+    """An upper estimate of _cayley's work on T_(r,s)(f, g), taken from the
+    visited orders alone, so no weight is computed or cached: one product per
+    order of a term of f, and 1 + (terms of f) per order of a term of g, each
+    in the 64-bit words of its bound |c| 2^(r+s) a^r b^s |c'| a'^r b'^s."""
+    (a, b), (a2, b2) = ((h.degree, 0) if isinstance(h, BinaryForm) else h.bidegree
+                        for h in (f, g))
+
+    def orders(h, d1, d2):  # (terms, visited orders) of h's nonzero terms
+        ys = [divmod(index, d2 + 1) for index, c in enumerate(h._num) if c]
+        return len(ys), sum(len(_orders(d1 - y1, y1, r)) * len(_orders(d2 - y2, y2, s))
+                            for y1, y2 in ys)
+
+    f_terms, f_orders = orders(f, a, b)
+    _, g_orders = orders(g, a2, b2)
+    bits = (max(map(abs, f._num)).bit_length() + max(map(abs, g._num)).bit_length()
+            + r * (1 + a.bit_length() + a2.bit_length())
+            + s * (1 + b.bit_length() + b2.bit_length()))
+    return (f_orders + g_orders * (f_terms + 1)) * (1 + bits // 64)
+
+
 def bitransvectant(f: BiForm, g: BiForm, r: int, s: int) -> BiForm:
     """(r,s)-th bi-transvectant: the double Cayley sum over both pairs."""
     terms = [(i, c) for i, c in enumerate(g._num) if c]
@@ -147,13 +180,11 @@ def specialized_1s(f: BiForm, g: BiForm, s: int) -> BiForm:
     """
     if f.bidegree[0] != 1 or g.bidegree[0] != 1:
         raise ValueError("both operands must have bidegree (1, .)")
-    b, b2 = f.bidegree[1], g.bidegree[1]
-    if s < 0 or s > min(b, b2):
-        raise ValueError(f"second-pair order {s} out of range for ({b}, {b2})")
+    target = _shape(f.bidegree, g.bidegree, 1, s)
     p, q = f.pq()
     p2, q2 = g.pq()
     result = transvectant(p, q2, s) - transvectant(q, p2, s)
-    return BiForm._make((0, result.degree), result._num, result._den)
+    return BiForm._make(target, result._num, result._den)
 
 
 def transvectant_matrix(f: BiForm, r: int, s: int, source_bidegree) -> QMat:

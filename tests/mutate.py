@@ -99,13 +99,19 @@ MUTANTS = [
      "for i, wi in _weights(y1, a - y1, r, True):\n            ci = c * abs(wi)",
      CAYLEY_ORACLES),
     ("cayley-table-last-order-dropped", TRANSVECTANT,
-     "min(r, y) + 1", "min(r, y)", CAYLEY_ORACLES),
+     "for i in _orders(x, y, r))", "for i in _orders(x, y, r)[:-1])", CAYLEY_ORACLES),
     ("cayley-table-first-order-dropped", TRANSVECTANT,
-     "max(0, r - x)", "max(0, r - x) + 1", CAYLEY_ORACLES),
+     "for i in _orders(x, y, r))", "for i in _orders(x, y, r)[1:])", CAYLEY_ORACLES),
     ("cayley-operand-last-order-dropped", TRANSVECTANT,
-     "min(r, x) + 1", "min(r, x)", CAYLEY_ORACLES),
+     "for i in _orders(y, x, r))", "for i in _orders(y, x, r)[:-1])", CAYLEY_ORACLES),
     ("cayley-operand-first-order-dropped", TRANSVECTANT,
-     "max(0, r - y)", "max(0, r - y) + 1", CAYLEY_ORACLES),
+     "for i in _orders(y, x, r))", "for i in _orders(y, x, r)[1:])", CAYLEY_ORACLES),
+    ("first-pair-order-bounded-by-larger-degree", TRANSVECTANT,
+     "r > min(a, a2)", "r > max(a, a2)",
+     [f"{T_TRANSVECTANT}::test_out_of_range_orders_are_refused"]),
+    ("cayley-words-without-own-order", TRANSVECTANT,
+     "g_orders * (f_terms + 1)", "g_orders * f_terms",
+     [f"{T_TRANSVECTANT}::test_cayley_words_pinned"]),
     ("cayley-weights-uncached", TRANSVECTANT,
      "@lru_cache(maxsize=4096)\ndef _weights(", "def _weights(",
      [f"{T_TRANSVECTANT}::test_warm_cayley_computes_no_falling_factorial"]),

@@ -193,10 +193,13 @@ _WORK = "more than 100000 term operations"
     # a 1 x 10,000 map, but a kernel basis of 9,999 rows of 10,000 entries
     (["kernel", "--form", "X1^99*X2^99", "--r", "99", "--s", "99", "--source", "99,99"],
      "entries, more than 100000"),
+    # both factors of the target's size are negative: the order is refused before the size
+    (["kernel", "--form", "X1*Y2^2 + Y1*X2^2", "--r", "200", "--s", "200", "--source", "1,1"],
+     "first-pair order 200 out of range"),
 ], ids=["huge-exponent", "dense-power", "nested-power", "huge-source",
         "long-product", "huge-form", "huge-coefficients", "product-chain", "long-literals",
         "overlong-literal", "superscript-exponent", "non-ascii-digit", "overlong-output",
-        "vanishing-cayley-terms", "cayley-work", "huge-kernel-basis"])
+        "vanishing-cayley-terms", "cayley-work", "huge-kernel-basis", "kernel-order-out-of-range"])
 def test_hostile_input_exits_2_within_1s(argv, message, capsys):
     code, seconds = _bounded_main(argv)
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import importlib
+import re
 from fractions import Fraction
 from random import Random
 
@@ -90,6 +91,35 @@ def test_apolar_does_not_read_the_cayley_weights(monkeypatch):
         transvectant(p, q, 2)
 
 
+# (name, form type, lhs, rhs, r, s, words): the work estimate of `biforms transvect`
+_CAYLEY_WORDS = [
+    ("cayley-work", BinaryForm, "X^2000*Y^2000", "X^2000*Y^2000", 2000, 0, 4_694_346),
+    ("vanishing-cayley-terms", BinaryForm, "X^4300", "Y^4300", 4300, 0, 5_445),
+    ("binary", BinaryForm, "X^3 - 2*X*Y^2 + 5*Y^3", "X*Y - Y^2", 2, 0, 12),
+    # X1*X2^2*Y2^6 visits first-pair order 0 only
+    ("some-orders-unvisited", BiForm, "X1*X2^2*Y2^6 + Y1*X2^6*Y2^2", "X1*Y2^4 + Y1*X2^4",
+     1, 2, 12),
+    ("long-coefficients", BiForm,
+     "123456789012345678901234567890*X1^2*X2^3 - 7/3*X1*Y1*Y2^3 + Y1^2*X2*Y2^2",
+     "X1*X2^4 + 99999999999999999999*Y1*Y2^4", 1, 3, 36),
+    ("order-out-of-range", BiForm, "X1*X2^2 + Y1*Y2^2", "X1*X2 - Y1*Y2", 2, 1, 0),
+]
+
+
+@pytest.mark.parametrize("kind, lhs, rhs, r, s, words", [case[1:] for case in _CAYLEY_WORDS],
+                         ids=[case[0] for case in _CAYLEY_WORDS])
+def test_cayley_words_pinned(kind, lhs, rhs, r, s, words):
+    assert KERNEL._cayley_words(kind.parse(lhs), kind.parse(rhs), r, s) == words
+
+
+def test_cayley_words_computes_no_weight(monkeypatch):
+    # the estimate is checked before the kernel runs, so it must not compute or cache a weight
+    for name in ("_weights", "perm", "comb"):
+        monkeypatch.setattr(KERNEL, name, _refuse)
+    f = BinaryForm.parse("X^2000*Y^2000")
+    assert KERNEL._cayley_words(f, f, 2000, 0) == 4_694_346
+
+
 def test_apolar_examples():
     assert apolar_diffop(BinaryForm.parse("X^2"), BinaryForm.parse("Y")) == \
         BinaryForm.parse("2*X")
@@ -175,6 +205,23 @@ def test_factorization_on_decomposables():
         lhs = bitransvectant(tensor_product(p1, p2), tensor_product(q1, q2), r, s)
         rhs = tensor_product(transvectant(p1, q1, r), transvectant(p2, q2, s))
         assert lhs == rhs
+
+
+def test_out_of_range_orders_are_refused():
+    # each order above the smaller degree of its pair (not the larger) or below 0
+    f, g = BiForm.parse("X1^2*X2 + Y1^2*Y2"), BiForm.parse("X1*X2^3 - Y1*Y2^3")
+    for r, s, message in [(2, 0, "first-pair order 2 out of range for (2, 1)"),
+                          (-1, 0, "first-pair order -1 out of range for (2, 1)"),
+                          (0, 2, "second-pair order 2 out of range for (1, 3)"),
+                          (0, -1, "second-pair order -1 out of range for (1, 3)")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bitransvectant(f, g, r, s)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            transvectant_matrix(f, r, s, g.bidegree)
+    with pytest.raises(ValueError, match=re.escape("first-pair order 2 out of range for (3, 1)")):
+        transvectant(BinaryForm.parse("X^3"), BinaryForm.parse("X + Y"), 2)
+    with pytest.raises(ValueError, match=re.escape("second-pair order 3 out of range for (2, 4)")):
+        specialized_1s(BiForm.parse("X1*X2^2"), BiForm.parse("Y1*Y2^4"), 3)
 
 
 def test_specialized_1s_examples():
