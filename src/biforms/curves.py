@@ -45,6 +45,7 @@ from random import Random
 
 from .forms import BiForm, BinaryForm, ternary_basis
 from .linalg import QMat, Subspace, _bareiss, _int_det, _integer_row, _rank, kernel_basis
+from .sampling import _draws
 
 
 def _rows(f: BiForm):
@@ -254,7 +255,7 @@ def hyperplane_degree(f: BiForm, seed) -> int | None:
     a, b = f.bidegree
     rows = _rows(f)
     rng = Random(f"hyperplane:{seed}")
-    lam = [rng.randint(-9, 9) for _ in range(b + 1)]
+    lam = _draws(rng, b + 1, -9, 9)
     # lambda_j meets c_j, which is column b - j of each row
     if not any(sum(L * x for L, x in zip(lam, row[::-1])) for row in rows):
         return None

@@ -7,8 +7,10 @@ FLINT's fmpq_poly): `_num`, a tuple of ints in the canonical basis order, and
 zero form has den = 1, so equality and hashing are tuple operations; `_make`
 is the one private constructor, reducing the pair by linalg._reduce as QMat
 does.  The integer kernels read and write this storage directly, and forms
-print straight from it.  `parse` reads the parser's terms into this
-storage, checking each term's degree.
+print straight from it: the numerators, over the denominator, go to the one
+printer, parsing.format_terms, beside monomial texts cached per grading
+like the basis.  `parse` reads the parser's terms into this storage,
+checking each term's degree.
 
 The three public classes only declare their ring and its variable groups: a
 binary form lives on (X, Y), one group of two; a biform on (X1, Y1 | X2, Y2),
@@ -33,7 +35,7 @@ from functools import lru_cache
 from math import comb, lcm, prod
 
 from .linalg import _integer_row, _reduce
-from .parsing import format_terms, parse_form
+from .parsing import _monomial_str, format_terms, parse_form
 from .poly import RING_BI, RING_XY, RING_XYZ
 
 
@@ -60,6 +62,13 @@ def _basis(groups, grading):
     for n, d in zip(groups, grading):
         out = [e + m for e in out for m in _monomials(n, d)]
     return {e: i for i, e in enumerate(out)}
+
+
+@lru_cache(maxsize=256)
+def _texts(ring, groups, grading):
+    """The printed monomials of _basis(groups, grading) in ring's variables,
+    in basis order (read-only: the list is shared)."""
+    return [_monomial_str(ring, e) for e in _basis(groups, grading)]
 
 
 def binary_basis(d):
@@ -117,11 +126,6 @@ class _Form:
 
     def _exponents(self):
         return _basis(self.groups, self._grading(self._degree))
-
-    def _terms(self):
-        """(exponents, Fraction) of the nonzero terms, in canonical order."""
-        den = self._den
-        return [(e, Fraction(n, den)) for e, n in zip(self._exponents(), self._num) if n]
 
     @classmethod
     def zero(cls, degree):
@@ -185,7 +189,9 @@ class _Form:
         return hash((type(self).__name__, self._degree, self._den, self._num))
 
     def __str__(self):
-        return format_terms(self.ring, self._terms())
+        den = self._den
+        texts = _texts(self.ring, self.groups, self._grading(self._degree))
+        return format_terms([(t, n, den) for t, n in zip(texts, self._num) if n])
 
     def __repr__(self):
         return f"{type(self).__name__}.parse({str(self)!r}, {self._degree!r})"

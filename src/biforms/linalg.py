@@ -17,12 +17,17 @@ first as the rows themselves and each later one pulled from a lazy iterable
 only once the columns before it are done; its segments are appended in the
 rows' original order, since pivot swaps permute the rows.  _rank and the
 determinant stop at the column where every row holds a pivot, so a block
-past it is never built and the multipliers stay in place; _echelon and
-binary_gcd pass one block, run to the last column and read echelon rows
-with the multipliers zeroed.  _echelon, the one reduced echelon routine,
-runs that pass, then back-substitutes by exact division over the last
-pivot, which keeps the integers small at the sizes that occur here;
-kernel_basis reads its basis off one _echelon of the half-turned matrix.
+past it is never built and the multipliers stay in place; rank reaches
+full rank soonest on the short side, so _short_rank eliminates the
+columns of a tall matrix, and a row past full column rank is never read.
+_echelon and binary_gcd pass one block, run to the last column and read
+echelon rows with the multipliers zeroed.  _echelon, the one reduced
+echelon routine, runs that pass, then back-substitutes by exact division
+over the last pivot, which keeps the integers small at the sizes that
+occur here.  kernel_basis divides each row by its content, which changes
+no null space; a map that is not wide is injective when _short_rank of
+those rows is its width, and then has the zero kernel without an echelon
+form; else the basis is read off one _echelon of the half-turned rows.
 The maximal minors of a tall matrix take no elimination: _minors builds
 them on the integer rows column by column by Laplace expansion, without
 division, each minor keyed by the bitmask of its rows, so dropping row i
@@ -266,8 +271,16 @@ def rref(m: QMat):
     return QMat._make(rows, den, m.cols), len(pivots), pivots
 
 
+def _short_rank(rows, cols):
+    """Rank of integer rows of length cols, eliminated along the short side
+    (the columns of a tall matrix), so the forward pass stops at full rank."""
+    if len(rows) > cols:
+        rows = zip(*rows)
+    return _rank([[list(row) for row in rows]])
+
+
 def rank(m: QMat) -> int:
-    return _rank([[list(row) for row in m._num]])
+    return _short_rank(m._num, m.cols)
 
 
 class Subspace:
@@ -338,8 +351,16 @@ def kernel_basis(m: QMat) -> Subspace:
     Free column f of the RREF R of m turned half a turn gives den at f and
     -R[i][f] at the pivots left of f: turned back, it leads at n-1-f and is
     zero at the other leads, so by descending f these are the RREF basis.
-    Turning the rows too leaves R alone and keeps a banded m on its diagonal."""
-    rows, den, pivots = _echelon([list(reversed(row)) for row in reversed(m._num)])
+    Turning the rows too leaves R alone and keeps a banded m on its diagonal,
+    and dividing each by its content leaves it alone too.  A map that is not
+    wide is first tested for injectivity by its rank alone."""
+    work = []
+    for row in reversed(m._num):
+        g = gcd(*row) or 1
+        work.append([x // g for x in reversed(row)])
+    if m.rows >= m.cols and _short_rank(work, m.cols) == m.cols:
+        return Subspace(m.cols, QMat._make([], 1, m.cols))
+    rows, den, pivots = _echelon(work)
     vectors = []
     for f in range(m.cols - 1, -1, -1):
         if f not in pivots:

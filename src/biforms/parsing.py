@@ -20,12 +20,16 @@ most MAX_DIGITS digits.
 to_string() prints the canonical form (terms in descending lexicographic
 order) and refuses a coefficient whose numerator or denominator has more than
 MAX_DIGITS digits; parse -> print -> parse is the identity within that cap.
+There is one printer, format_terms, on integers: it takes each term as its
+monomial text and an integer numerator over a denominator, which to_string
+reads off a polynomial's Fractions and a form off its storage, and builds
+no Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .poly import MPoly
 
@@ -216,33 +220,35 @@ def _monomial_str(ring, exps):
     return "*".join(parts)
 
 
-def _coeff_str(c):
-    c = abs(c)
-    if c.numerator >= _TOO_LONG or c.denominator >= _TOO_LONG:
-        raise ValueError(f"coefficient longer than {MAX_DIGITS} digits, "
-                         "the longest literal the parser reads")
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def to_string(p: MPoly) -> str:
     """Canonical text form; parse_form(to_string(p), p.ring) == p."""
-    return format_terms(p.ring, p.items_sorted())
+    ring = p.ring
+    return format_terms([(_monomial_str(ring, exps), c.numerator, c.denominator)
+                         for exps, c in p.items_sorted()])
 
 
-def format_terms(ring, items) -> str:
-    """Text of (exponents, nonzero Fraction) terms listed in canonical order;
-    ValueError for a coefficient longer than MAX_DIGITS digits."""
+def format_terms(terms) -> str:
+    """Text of (monomial text, integer numerator, denominator) terms listed in
+    canonical order, each numerator nonzero over a denominator > 0, the two
+    not necessarily coprime; ValueError for a coefficient longer than
+    MAX_DIGITS digits."""
     pieces = []
-    for k, (exps, coeff) in enumerate(items):
-        mono = _monomial_str(ring, exps)
-        if mono and abs(coeff) == 1:
+    for mono, n, q in terms:
+        p = abs(n)
+        if q != 1:
+            g = gcd(p, q)
+            p, q = p // g, q // g
+        if p >= _TOO_LONG or q >= _TOO_LONG:
+            raise ValueError(f"coefficient longer than {MAX_DIGITS} digits, "
+                             "the longest literal the parser reads")
+        if mono and p == 1 and q == 1:
             body = mono
-        elif mono:
-            body = f"{_coeff_str(coeff)}*{mono}"
         else:
-            body = _coeff_str(coeff)
-        if k == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            body = str(p) if q == 1 else f"{p}/{q}"
+            if mono:
+                body = f"{body}*{mono}"
+        if pieces:
+            pieces.append(f" + {body}" if n > 0 else f" - {body}")
         else:
-            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
+            pieces.append(body if n > 0 else f"-{body}")
     return "".join(pieces) or "0"

@@ -120,8 +120,15 @@ MUTANTS = [
      [f"{T_LINALG}::test_top_minors_examples",
       f"{T_LINALG}::test_top_minors_match_per_subset_det"]),
     ("kernel-basis-rows-not-reversed", LINALG,
-     "for row in reversed(m._num)]", "for row in m._num]",
+     "for row in reversed(m._num):", "for row in m._num:",
      [f"{T_LINALG}::test_kernel_basis_eliminates_the_half_turned_matrix"]),
+    ("kernel-injectivity-test-loosened", LINALG,
+     "_short_rank(work, m.cols) == m.cols", "_short_rank(work, m.cols) >= m.cols - 1",
+     [f"{T_LINALG}::test_tall_rank_deficient_map_eliminates_content_free_rows",
+      f"{T_LINALG}::test_kernel_basis_matches_oracle_on_scaled_rows"]),
+    ("kernel-row-content-without-first-entry", LINALG,
+     "g = gcd(*row) or 1", "g = gcd(*row[1:]) or 1",
+     [f"{T_LINALG}::test_kernel_basis_matches_oracle_on_scaled_rows"]),
     ("apolar-over-p-denominator", TRANSVECTANT,
      "BinaryForm._make(d - e, out, p._den * q._den)", "BinaryForm._make(d - e, out, p._den)",
      [f"{T_TRANSVECTANT}::test_apolar_matches_oracle"]),
@@ -164,6 +171,10 @@ MUTANTS = [
     ("quota-without-exceptions-bound", CHECKS,
      "ok_everywhere and ok >= 95", "ok_everywhere and ok >= 0",
      [f"{T_CHECKS}::test_c07_fails_below_quota"]),
+    ("printer-unit-test-ignores-denominator", PARSING,
+     "p == 1 and q == 1", "p == 1",
+     [f"{T_PARSE}::test_print_parse_is_canonicalization",
+      f"{T_FORMS}::test_forms_print_as_their_polynomials"]),
     ("product-budget-without-bit-weight", PARSING,
      "* (1 + (mid - start) // WEIGHT_BITS) * (1 + (self.bits - mid) // WEIGHT_BITS))", ")",
      [f"{T_PARSE}::test_work_budget_spans_the_whole_parse"]),

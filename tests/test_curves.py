@@ -214,6 +214,21 @@ def _base_locus_cases(rng):
                                                for e in oracle.biform_basis(a, b) if rng.random() < 0.3})
 
 
+def test_hyperplane_functional_is_the_seeded_randint_stream(monkeypatch):
+    # lambda is drawn by sampling._draws: the values of rng.randint(-9, 9)
+    drawn = []
+    real = curves_mod._draws
+    monkeypatch.setattr(curves_mod, "_draws",
+                        lambda rng, count, lo, hi: drawn.append(real(rng, count, lo, hi)) or drawn[-1])
+    rng = Random("hyperplane-stream")
+    for key in (0, 1, 7, 123, "q"):
+        for b in (0, 1, 4, 9):
+            drawn.clear()
+            hyperplane_degree(random_biform(rng, 2, b), key)
+            draw = Random(f"hyperplane:{key}")
+            assert drawn == [[draw.randint(-9, 9) for _ in range(b + 1)]]
+
+
 def test_hyperplane_degree_is_one_rank_and_no_gcd(monkeypatch):
     ranks, blocks = [], []
     real_rank, real_multiples = curves_mod._rank, curves_mod._multiples

@@ -7,6 +7,7 @@ import pytest
 from biforms import (
     BiForm,
     BinaryForm,
+    MPoly,
     TernaryForm,
     from_binomial_coeffs,
     parse_form,
@@ -204,3 +205,47 @@ def test_repr_rebuilds_the_form():
             for f in _storage_samples(rng, cls, degree, basis_of(degree)):
                 for g in (f, -f, Fraction(-7, 3) * f):
                     assert eval(repr(g), names) == g
+
+
+def test_forms_print_as_their_polynomials():
+    # a form prints from its integer numerators, a polynomial from its
+    # Fractions, through the one printer: the texts agree
+    rng = Random("print-parity")
+    units = [Fraction(1), Fraction(-1)]
+
+    def polynomial(f):
+        return MPoly(f.ring, dict(zip(f._exponents(), f.coeff_vector())))
+
+    for cls, degrees in ((BinaryForm, [0, 1, 3, 6]), (BiForm, [(0, 0), (0, 2), (1, 2), (3, 2)]),
+                         (TernaryForm, [0, 1, 3])):
+        for degree in degrees:
+            n = len(cls.zero(degree).coeff_vector())
+            assert str(cls.zero(degree)) == to_string(MPoly.zero(cls.ring)) == "0"
+            for _ in range(12):
+                den = rng.choice([1, 2, 6, 35])
+                coeffs = [rng.choice(units) if rng.random() < 0.3
+                          else Fraction(rng.randint(-9, 9), den) for _ in range(n)]
+                if rng.random() < 0.5:
+                    coeffs[0] = -abs(coeffs[0]) or Fraction(-den, den)
+                f = cls.from_coeff_vector(degree, coeffs)
+                assert str(f) == to_string(polynomial(f))
+    # numerators sharing a factor with the common denominator, down to a unit
+    f = BinaryForm.from_coeff_vector(2, [Fraction(-1, 2), 1, Fraction(1, 3)])
+    assert (f._num, f._den) == ((-3, 6, 2), 6)
+    assert str(f) == to_string(polynomial(f)) == "-1/2*X^2 + X*Y + 1/3*Y^2"
+    assert str(BiForm.from_coeff_vector((0, 1), [Fraction(3, 4), Fraction(-3, 2)])) == \
+        "3/4*X2 - 3/2*Y2"
+    assert str(TernaryForm.from_coeff_vector(0, [Fraction(-5, 10)])) == "-1/2"
+    # a denominator past the digit cap whose coefficients all reduce below it
+    p, q = 2 ** 7500, 3 ** 4500
+    f = BinaryForm._make(1, (p, q), p * q)
+    assert f._den >= 10 ** 4300
+    assert str(f) == to_string(polynomial(f)) == f"1/{q}*X + 1/{p}*Y"
+    # a coefficient past the cap is refused with the parser's limit, word for word
+    x = BinaryForm.parse("X")
+    for c in (Fraction(10 ** 4300, 7), Fraction(7, 10 ** 4300)):
+        for value in (c * x, polynomial(c * x)):
+            with pytest.raises(ValueError) as refused:
+                str(value)
+            assert str(refused.value) == ("coefficient longer than 4300 digits, "
+                                          "the longest literal the parser reads")

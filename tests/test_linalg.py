@@ -173,6 +173,69 @@ def test_kernel_basis_eliminates_the_half_turned_matrix(monkeypatch):
                      for i in range(m.rows)]]
 
 
+def test_tall_injective_map_takes_no_echelon(monkeypatch):
+    # the rank-only pass decides injectivity; the zero kernel is stored as
+    # the echelon route stores it: no rows, denominator 1
+    def refuse(work):
+        raise AssertionError("an injective map reached _echelon")
+
+    monkeypatch.setattr(linalg, "_echelon", refuse)
+    rng = Random("tall-injective")
+    cases = [QMat([[1, 2], [3, 4], [5, 7]]), QMat.identity(4), QMat([[], []]), QMat([]),
+             QMat([[6, 4], [0, 10], [15, 0]]),
+             QMat([[Fraction(1, 2), 0], [0, Fraction(2, 3)], [1, 1]])]
+    for rows, cols in [(9, 5), (12, 12), (18, 9), (30, 4)]:
+        m = rand_mat(rng, rows, cols)
+        scale = [rng.choice([1, 2, 6, -35]) for _ in range(rows)]
+        cases.append(QMat([[k * x for x in row] for k, row in zip(scale, m.entries)]))
+    for m in cases:
+        assert m.rows >= m.cols and oracle.rank(m.entries) == m.cols
+        ker = kernel_basis(m)
+        assert ker == Subspace(m.cols, zeros(0, m.cols))
+        assert (ker.ambient_dim, ker.basis._num, ker.basis._den, ker.basis.cols) == \
+            (m.cols, (), 1, m.cols)
+
+
+def test_tall_rank_deficient_map_eliminates_content_free_rows(monkeypatch):
+    seen = []
+
+    def recorded(work):
+        seen.append([list(row) for row in work])
+        return _echelon(work)
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    # 5 x 3 of rank 2, every row with a common factor but the last: its
+    # rows reach _echelon reversed, each reversed and over its content
+    m = QMat([[2, 4, 6], [3, 0, 3], [10, 5, 15], [0, 7, 7], [1, 1, 2]])
+    assert oracle.rank(m.entries) == 2
+    ker = kernel_basis(m)
+    assert seen == [[[2, 1, 1], [1, 1, 0], [3, 1, 2], [1, 0, 1], [3, 2, 1]]]
+    assert ker == Subspace(3, QMat([[1, 1, -1]]))
+    assert ker == Subspace.from_vectors(3, oracle.kernel(m.entries, 3)[1])
+
+
+def test_kernel_basis_matches_oracle_on_scaled_rows():
+    # per-row factors survive QMat's reduction by the common one: each row
+    # is divided by its own content before elimination
+    rng = Random("kernel-scaled-rows")
+    factors = [1, 1, -1, 2, 6, -15, 49, 2 ** 20, 3 ** 13]
+    deficient = 0
+    for _ in range(120):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if rng.random() < 0.5:   # rank at most inner, often one short of cols
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            m = rand_mat(rng, rows, inner, -5, 5) * rand_mat(rng, inner, cols, -5, 5)
+        else:
+            m = rand_mat(rng, rows, cols)
+        scale = [rng.choice(factors) for _ in range(rows)]
+        m = QMat([[k * x for x in row] for k, row in zip(scale, m.entries)])
+        ker = kernel_basis(m)
+        expected = Subspace.from_vectors(cols, oracle.kernel(m.entries, cols)[1])
+        assert ker == expected, m
+        deficient += rows >= cols and expected.dim > 0
+    assert deficient >= 10
+
+
 def test_matrices_without_rows_keep_their_width():
     # the null space of a 0 x n matrix is all of Q^n
     full = kernel_basis(zeros(0, 3))
@@ -250,6 +313,22 @@ def test_rank_stops_at_full_row_rank():
     head = [[1, 0, 0], [0, 0, 2], [0, 3, 0]]
     m = QMat._make([row + [_Untouchable(7)] * 34 for row in head], 1)
     assert rank(m) == 3
+
+
+def test_rank_of_tall_matrix_stops_at_full_column_rank():
+    # the tall matrix is eliminated by its columns: rows past full column
+    # rank are never read
+    rng = Random("rank-tall-stop")
+    head = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+    head[0][0] = 1
+    while oracle.rank(head) < 4:
+        head[rng.randrange(4)][rng.randrange(4)] = rng.randint(-9, 9)
+    m = QMat._make(head + [[_Untouchable(7)] * 4 for _ in range(30)], 1)
+    assert m.rows == 34 and any(type(x) is _Untouchable for x in m._num[-1])
+    assert rank(m) == 4
+    # full column rank in the first two rows of a 2-column matrix
+    m = QMat._make([[0, 3], [2, 0]] + [[_Untouchable(7)] * 2 for _ in range(10)], 1)
+    assert rank(m) == 2
 
 
 def _cut(rows, bounds):
