@@ -36,16 +36,18 @@ x01*E + x10*F + x00*H with H = X d/dX - Y d/dY.
 lie_act, lie_act_binary and the stabilizers use index maps on integer
 coefficient vectors (index k holds X^(d-k) Y^k; a biform's index is
 k1*(b+1) + k2, one map per factor): E sends k to k-1 with weight k, F sends
-k to k+1 with weight d-k, and H is the diagonal d-2k.  Stabilizers are
-computed infinitesimally, as ranks of exact integer systems built from these
-maps (7 rows for a form, 3 for a subspace), by linalg's _rank.  Each system
-is handed over as a lazy sequence of column blocks: a form's first 14
-columns (twice its rows), then the rest; a subspace's columns one basis
-vector of W at a time.  The left-looking elimination stops at the column
-where every row holds a pivot, so a block past it is never built, and a
-generic system is built only in part; a rank-deficient one builds and reads
-every block.  Finite stabilizer components are checked by explicit
-candidate elements.
+k to k+1 with weight d-k, and H is the diagonal d-2k.  _sl2_table caches the
+three maps per (degree, stride, length) as (weight, source index) pairs, one
+per image index, with weight 0 where the image reads nothing, so an image is
+one comprehension.  Stabilizers are computed infinitesimally, as ranks of
+exact integer systems built from these maps (7 rows for a form, 3 for a
+subspace), by linalg's _rank.  Each system is handed over as a lazy sequence
+of column blocks: a form's in the order of its bidegree's column plan, its
+first 7 columns and then the rest; a subspace's one basis vector of W at a
+time.  The left-looking elimination stops at the column where every row
+holds a pivot, so a block past it is never built, and a generic system is
+built only in part; a rank-deficient one builds and reads every block.
+Finite stabilizer components are checked by explicit candidate elements.
 """
 
 from __future__ import annotations
@@ -202,8 +204,9 @@ def act_ternary(g: G3Element, f: TernaryForm) -> TernaryForm:
 
 
 def _lie(f, mats):
-    """x00*H + x01*E + x10*F of each group's _sl2_images, for one traceless
-    2x2 x per variable group (E = X d/dY, F = Y d/dX, H = X d/dX - Y d/dY)."""
+    """x00*H + x01*E + x10*F of each group's _sl2_table images, for one
+    traceless 2x2 x per variable group (E = X d/dY, F = Y d/dX,
+    H = X d/dX - Y d/dY)."""
     if tuple(m.rows for m in mats) != f.groups:
         raise ValueError(f"{type(f).__name__} needs matrices of sizes {f.groups}")
     vec = f._num
@@ -212,7 +215,7 @@ def _lie(f, mats):
         (x00, x01), (x10, _) = m._num
         s = m._den
         step //= d + 1
-        e, fy, h = _sl2_images(vec, d, step)
+        e, fy, h = ([w * vec[j] for w, j in table] for table in _sl2_table(d, step, len(vec)))
         # total / scale + (this group's image) / s, over scale * s
         total = [s * t + scale * (x01 * a + x10 * b + x00 * c)
                  for t, a, b, c in zip(total, e, fy, h)]
@@ -240,35 +243,61 @@ def matrix_of_binary_action(g, b: int) -> QMat:
     return QMat._make([[c.get(j, 0) for c in columns] for j in range(b + 1)], m._den ** b)
 
 
-def _sl2_images(vec, d, step, lo=0, hi=None):
-    """(X d/dY, Y d/dX, H) images of an integer coefficient vector whose acted-on
-    factor has degree d and Y-exponent k = i // step % (d + 1) at index i, at
-    the indices lo <= i < hi (all of them by default)."""
+@lru_cache(maxsize=256)
+def _sl2_table(d, step, n):
+    """(X d/dY, Y d/dX, H) on integer coefficient vectors of length n whose
+    acted-on factor has degree d and Y-exponent k = i // step % (d + 1) at
+    index i: per map, one (weight, source index) pair per index i, so the
+    image of vec is [w * vec[j] for w, j in table]; an image past either end
+    of the factor reads its own index with weight 0."""
     e, f, h = [], [], []
-    for i in range(lo, len(vec) if hi is None else hi):
+    for i in range(n):
         k = i // step % (d + 1)
-        e.append((k + 1) * vec[i + step] if k < d else 0)
-        f.append((d - k + 1) * vec[i - step] if k else 0)
-        h.append((d - 2 * k) * vec[i])
-    return e, f, h
+        e.append((k + 1, i + step) if k < d else (0, i))
+        f.append((d - k + 1, i - step) if k else (0, i))
+        h.append((d - 2 * k, i))
+    return tuple(e), tuple(f), tuple(h)
+
+
+@lru_cache(maxsize=256)
+def _column_plan(a, b):
+    """The column blocks of a bidegree-(a, b) form's 7-row stabilizer system,
+    each as its rows' (weight, source index) tables: E1, F1, H1, E2, F2, H2
+    and -f.
+
+    Within one X1-slice k1 the H1 row is (a - 2 k1) times the f row, and on
+    slice 0 the F1 row is zero, so the natural order needs b + 3 columns for
+    rank 7.  The plan takes columns alternately from slices a//2 and a//2 + 1,
+    middle X2 index first, then the others in natural order; the first block
+    is its first 7 columns, the second the rest.  Column rank does not depend
+    on the order.  Natural order when a slice is missing or there are fewer
+    than 7 columns.
+    """
+    n = (a + 1) * (b + 1)
+    order = list(range(n))
+    if a and n >= 7:
+        lo, hi = a // 2 * (b + 1), (a // 2 + 1) * (b + 1)
+        middle = [base + k for k in sorted(range(b + 1), key=lambda k: abs(2 * k - b))
+                  for base in (lo, hi)]
+        order = middle + [i for i in order if i not in middle]
+    tables = (*_sl2_table(a, b + 1, n), *_sl2_table(b, 1, n), tuple((-1, i) for i in range(n)))
+    return tuple(tuple(tuple(table[i] for i in cols) for table in tables)
+                 for cols in (order[:7], order[7:]) if cols)
 
 
 def projective_stabilizer_dim(f: BiForm) -> int:
     """Dimension of {(x, c) in (sl2 x sl2) x Q : lie_act(x, f) = c f}.
 
     Zero means the projective stabilizer of [f] is infinitesimally trivial.
-    The 7-row system is built in column blocks, its first 14 columns and
-    then the rest (one block when there are no more than 14); the second is
-    built only if the first leaves the rank short.
+    The 7-row system is built in the column blocks of its bidegree's
+    _column_plan, its first 7 columns and then the rest; the second is built
+    only if the first leaves the rank short, which a generic form never does.
     """
     if f.is_zero():
         raise ValueError("zero form")
-    a, b = f.bidegree
     vec = f._num
-    n = len(vec)
-    cuts = (0, 14, n) if n > 14 else (0, n)
-    return 7 - _rank([*_sl2_images(vec, a, b + 1, lo, hi), *_sl2_images(vec, b, 1, lo, hi),
-                      [-c for c in vec[lo:hi]]] for lo, hi in zip(cuts, cuts[1:]))
+    return 7 - _rank([[w * vec[j] for w, j in row] for row in block]
+                     for block in _column_plan(*f.bidegree))
 
 
 def subspace_stabilizer_dim(w: Subspace) -> int:
@@ -286,10 +315,11 @@ def subspace_stabilizer_dim(w: Subspace) -> int:
     pivots = w.pivots()
     free = [j for j in range(b + 1) if j not in pivots]
     columns = [(j, [row[j] for row in basis]) for j in free]
+    tables = _sl2_table(b, 1, b + 1)
 
     def block(vec):
         out = []
-        for image in _sl2_images(vec, b, 1):
+        for image in ([c * vec[j] for c, j in table] for table in tables):
             coords = [image[p] for p in pivots]
             out.append([big * image[j] - sum(map(mul, coords, column)) for j, column in columns])
         return out

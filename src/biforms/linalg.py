@@ -24,10 +24,12 @@ _echelon and binary_gcd pass one block, run to the last column and read
 echelon rows with the multipliers zeroed.  _echelon, the one reduced
 echelon routine, runs that pass, then back-substitutes by exact division
 over the last pivot, which keeps the integers small at the sizes that
-occur here.  kernel_basis divides each row by its content, which changes
-no null space; a map that is not wide is injective when _short_rank of
-those rows is its width, and then has the zero kernel without an echelon
-form; else the basis is read off one _echelon of the half-turned rows.
+occur here, on the free columns only: a pivot column of the result holds
+den or 0 by construction.  kernel_basis divides each row by its content,
+which changes no null space; a map that is not wide is injective when
+_short_rank of those rows is its width, and then has the zero kernel
+without an echelon form; else the basis is read off one _echelon of the
+half-turned rows.
 The maximal minors of a tall matrix take no elimination: _minors builds
 them on the integer rows column by column by Laplace expansion, without
 division, each minor keyed by the bitmask of its rows, so dropping row i
@@ -243,23 +245,33 @@ def _echelon(work):
     After the complete forward pass, with d_i the pivot of echelon row i and
     D the last one, row i becomes N_i = (|D| row_i - sum over j > i of
     row_i[p_j] N_j) / d_i, from the last row up, so D's sign moves onto the
-    rows.  D times the RREF is an integer matrix (Cramer's rule), so each
-    division is exact; it is checked like _bareiss's, else ArithmeticError.
+    rows.  N_i holds den at p_i and 0 left of it and at every other pivot
+    column, so only its entries on the free columns right of p_i are
+    computed, and row i is overwritten in place.  D times the RREF is an
+    integer matrix (Cramer's rule), so each division is exact; it is
+    checked on every computed entry like _bareiss's, else ArithmeticError.
     """
     pivots, _ = _bareiss([work])
     rank = len(pivots)
     den = abs(work[rank - 1][pivots[-1]]) if rank else 1
+    free = [c for c in range(len(work[0]) if work else 0) if c not in pivots]
     for i in range(rank - 1, -1, -1):
-        row = work[i]
-        acc = [den * x for x in row]
+        row, p = work[i], pivots[i]
+        cols = free[p - i:]   # the free columns right of p: p - i lie left of it
+        acc = [den * row[c] for c in cols]
         for j in range(i + 1, rank):
             f = row[pivots[j]]
             if f:
-                acc = [a - f * b for a, b in zip(acc, work[j])]
-        d = row[pivots[i]]
-        work[i] = [x // d for x in acc]
-        if [q * d for q in work[i]] != acc:
+                nj = work[j]
+                acc = [a - f * nj[c] for a, c in zip(acc, cols)]
+                row[pivots[j]] = 0
+        d = row[p]
+        q = [x // d for x in acc]
+        if [y * d for y in q] != acc:
             raise ArithmeticError("echelon exact-division invariant broken")
+        row[p] = den
+        for c, y in zip(cols, q):
+            row[c] = y
     return work[:rank], den, tuple(pivots)
 
 

@@ -56,7 +56,7 @@ MUTANTS = [
      "rk = len(_bareiss([work])[0])", "rk = len(_bareiss([work], complete=False)[0])",
      [f"{T_CURVES}::test_binary_gcd_matches_oracle"]),
     ("echelon-remainder-check-removed", LINALG,
-     "        if [q * d for q in work[i]] != acc:\n"
+     "        if [y * d for y in q] != acc:\n"
      "            raise ArithmeticError(\"echelon exact-division invariant broken\")\n",
      "",
      [f"{T_LINALG}::test_rref_exact_division_check_fires"]),
@@ -140,6 +140,15 @@ MUTANTS = [
      [f"{T_ACTIONS}::test_lie_act_examples",
       f"{T_ACTIONS}::test_exp_of_nilpotent_matches_act",
       f"{T_ACTIONS}::test_lie_act_matches_oracle"]),
+    ("column-plan-rest-block-missing-one-index", ACTIONS,
+     "for cols in (order[:7], order[7:]) if cols)", "for cols in (order[:7], order[8:]) if cols)",
+     [f"{T_ACTIONS}::test_projective_stabilizer_matches_oracle_on_edge_shapes"]),
+    ("sl2-table-f-weight-off-by-one", ACTIONS,
+     "f.append((d - k + 1, i - step) if k else (0, i))",
+     "f.append((d - k, i - step) if k else (0, i))",
+     [f"{T_ACTIONS}::test_lie_act_matches_oracle",
+      f"{T_ACTIONS}::test_projective_stabilizer_matches_oracle_on_edge_shapes",
+      f"{T_ACTIONS}::test_subspace_stabilizer_matches_oracle_on_small_monomial_subspaces"]),
     ("annihilator-sign-flipped", ACTIONS,
      "big * image[j] - sum(map(mul, coords, column))",
      "big * image[j] + sum(map(mul, coords, column))",

@@ -28,8 +28,9 @@ from biforms import (
     ternary_basis,
     weight_of,
 )
+from biforms import linalg
 from biforms.actions import SL2_F, SL2_H
-from biforms.checks import FREENESS_GRID
+from biforms.checks import FREENESS_GRID, run_check
 from biforms.sampling import random_biform, random_binary_form, random_sl_pair, random_subspace
 from helpers import (
     like,
@@ -273,6 +274,93 @@ def test_subspace_stabilizer_matches_oracle_on_special_subspaces():
             for w in (mono, moved):
                 got = subspace_stabilizer_dim(w)
                 assert got == _oracle_subspace_stabilizer_dim(w) and got >= 1
+
+
+def _stabilizer_systems(monkeypatch):
+    """Wrap linalg._bareiss; the returned list gets, for each 7-row forward
+    pass stopped at full rank (a form's stabilizer system), (columns read,
+    entries built, blocks pulled)."""
+    seen = []
+    bareiss = linalg._bareiss
+
+    def recorded(blocks, complete=True):
+        sizes, rows = [], []
+
+        def pulled():
+            for block in blocks:
+                rows.append(len(block))
+                sizes.append(sum(map(len, block)))   # before a later block extends its rows
+                yield block
+        pivots, sign = bareiss(pulled(), complete)
+        if not complete and rows[0] == 7:
+            read = pivots[-1] + 1 if len(pivots) == 7 else sum(sizes) // 7
+            seen.append((read, sum(sizes), len(sizes)))
+        return pivots, sign
+
+    monkeypatch.setattr(linalg, "_bareiss", recorded)
+    return seen
+
+
+def test_form_stabilizer_reads_seven_columns_on_the_freeness_grid(monkeypatch):
+    # the column plan reaches rank 7 in its first block, whose 7 columns are
+    # all that is read or built; the second block is never pulled
+    seen = _stabilizer_systems(monkeypatch)
+    rng = Random("stab-plan-grid")
+    for (a, b) in FREENESS_GRID:
+        for f in (random_biform(rng, a, b), Fraction(3, 5) * random_biform(rng, a, b)):
+            assert projective_stabilizer_dim(f) == 0
+            assert seen.pop() == (7, 49, 1), (a, b)
+    assert not seen
+
+
+def test_c09_pass_work_counts(monkeypatch):
+    # natural column order read 10,721 columns and built 107,100 entries here
+    seen = _stabilizer_systems(monkeypatch)
+    assert run_check("C09", 0).status == "pass"
+    assert len(seen) == 1100
+    assert sum(read for read, _, _ in seen) == 7700
+    assert sum(built for _, built, _ in seen) == 53900
+    assert {pulled for _, _, pulled in seen} == {1}
+
+
+EDGE_SHAPES = [(a, b) for a in range(4) for b in range(5)] + [(1, 10), (2, 10)]
+
+
+def _edge_forms(rng, a, b):
+    """Random, monomial, torus-eigen and decomposable forms of bidegree (a, b),
+    each monomial or eigenform also moved by a random group pair."""
+    forms = [random_biform(rng, a, b), random_biform(rng, a, b)]
+    special = [to_form(BiForm, (a, b), {(a - k1, k1, b - k2, k2): 1})
+               for k1, k2 in sorted({(0, 0), (a, b), (a // 2, b // 2), (a, 0)})]
+    for step in range(1, b // a + 1) if a else ():
+        special.append(_torus_eigenform(rng, a, b, step))
+    forms.append(tensor_product(random_binary_form(rng, a), random_binary_form(rng, b)))
+    return forms + special + [act(random_group_pair(rng), f) for f in special]
+
+
+def test_projective_stabilizer_matches_oracle_on_edge_shapes():
+    # missing slices (a = 0), fewer than 7 columns, and the rest block of a
+    # rank-deficient system, at every small bidegree and two long ones
+    rng = Random("stab-oracle-edge")
+    for (a, b) in EDGE_SHAPES:
+        for f in _edge_forms(rng, a, b):
+            assert projective_stabilizer_dim(f) == _oracle_projective_stabilizer_dim(f), (a, b, f)
+
+
+def test_subspace_stabilizer_matches_oracle_on_small_monomial_subspaces():
+    rng = Random("stab-oracle-small-subspace")
+    with pytest.raises(ValueError):   # V_0 has no proper nonzero subspace
+        subspace_stabilizer_dim(Subspace.from_vectors(1, [[1]]))
+    for b in (1, 2):
+        for dim in range(1, b + 1):
+            for picks in itertools.combinations(range(b + 1), dim):
+                units = [[int(j == i) for j in range(b + 1)] for i in picks]
+                mono = Subspace.from_vectors(b + 1, units)
+                g = random_invertible2(rng)
+                moved = Subspace.from_vectors(b + 1, oracle_act_on_subspace(g, rows(mono.basis), b))
+                for w in (mono, moved):
+                    got = subspace_stabilizer_dim(w)
+                    assert got == _oracle_subspace_stabilizer_dim(w) and got >= 1, (b, picks)
 
 
 def test_det_scalar_examples():
